@@ -8,20 +8,19 @@ and through ``repro.serve.workers`` pools of 1/2/4 real worker
 processes, and the speedups compare **measured wall seconds** — pipes,
 pickling, fan-out, merge and all — not modeled time.
 
-Two workload points are recorded:
+Everything runs ``prefix-dag`` on the vectorized compiled plane, as a
+pure lookup storm (no churn: uniform updates trigger near-full root
+recompiles whose cost would drown the transport signal). Two records
+come out of it:
 
-* **compute-bound** (the gated point) — ``binary-trie`` with
-  ``compiled=False``, i.e. the dispatch engine's Python walk. Per-batch
-  compute dwarfs transport, so the curve shows what the process fan-out
-  buys on real cores.
-* **transport-bound** (gated on the shm transport) — ``prefix-dag`` on
-  the vectorized compiled plane, as a pure lookup storm (no churn:
-  uniform updates trigger near-full root recompiles whose cost would
-  drown the transport signal this point exists to expose), run once per
-  transport. Single-process lookups are so fast that pipe transport
-  rivals the lookup itself — which is exactly why this point is the
-  transport comparison: the shm rings must clear the floor the pickled
-  pipes cannot. The ``model_agreement`` column is the
+* **the worker curve** (gated) — 1/2/4 workers over shm against one
+  in-process server, recorded under ``compiled_curve``. The 4-worker
+  point is the shm run of the transport comparison below, reused.
+* **the transport comparison** (gated on the shm transport) — the
+  4-worker pool once per transport. Single-process lookups are so fast
+  that pipe transport rivals the lookup itself — which is exactly why
+  this point is the transport comparison: the shm rings must clear the
+  floor the pickled pipes cannot. The ``model_agreement`` column is the
   measured-vs-critical-path validation the ROADMAP asks for.
 
 Gates:
@@ -29,10 +28,10 @@ Gates:
 * **parity** — every pool run must agree 100% with the tabular oracle
   after quiescence, on all four scenarios and both transports
   (``test_worker_parity``);
-* **scaling floor** — at 4 workers the compute-bound point must serve
-  at least :data:`WORKER_SPEEDUP_FLOOR` x the single-process baseline's
-  wall-clock lookup throughput, and the compiled point over shm must
-  clear :data:`COMPILED_SPEEDUP_FLOOR` x the single-process *compiled*
+* **scaling floor** — at 4 workers the curve must serve at least
+  :data:`WORKER_SPEEDUP_FLOOR` x the single-process baseline's
+  wall-clock lookup throughput (and more than the 1-worker pool), and
+  the shm point must clear :data:`COMPILED_SPEEDUP_FLOOR` x the same
   baseline. Wall-clock scaling needs real cores, so the floors are
   asserted only when :func:`effective_cpus` >= :data:`MIN_GATED_CPUS`
   (CI's runners qualify; a 1-core laptop records the curves without
@@ -59,18 +58,12 @@ from repro.datasets.profiles import PRIMARY_PROFILE
 from repro.serve.workers import pack_events
 
 LOOKUPS = 1 << 17
-UPDATES = 128
 BATCH_SIZE = 1 << 14
 SEED = 42
 WORKER_CURVE = (1, 2, 4)
 REPEAT = 2  # best-of; spawns are expensive, compute dominates anyway
 
-#: The gated, compute-bound point: the dispatch engine's Python walk.
-GATED_REPRESENTATION = "binary-trie"
-GATED_OPTIONS = {"compiled": False}
-
-#: The transport-bound point: the vectorized compiled plane, run once
-#: per transport so the trajectory records what the shm rings buy.
+#: The served representation: the vectorized compiled plane.
 COMPILED_REPRESENTATION = "prefix-dag"
 
 #: Scaling floor: 4-worker wall-clock lookup throughput vs one process.
@@ -113,13 +106,8 @@ def _uniform_events(fib, updates):
 
 
 @pytest.fixture(scope="module")
-def events(profile_fib):
-    return _uniform_events(profile_fib(PRIMARY_PROFILE), UPDATES)
-
-
-@pytest.fixture(scope="module")
 def storm_events(profile_fib):
-    """The compiled point's script: the same uniform lookups, no churn."""
+    """The uniform lookup script, no churn."""
     return _uniform_events(profile_fib(PRIMARY_PROFILE), 0)
 
 
@@ -174,37 +162,18 @@ def _serve_pool(name, fib, events, probes, workers, options, transport=None):
 
 
 def test_worker_scaling_curve(
-    profile_fib, events, storm_events, probes, report_writer, scale
+    profile_fib, storm_events, probes, report_writer, scale
 ):
     fib = profile_fib(PRIMARY_PROFILE)
     cpus = effective_cpus()
     gated = cpus >= MIN_GATED_CPUS
 
-    baseline_mlps = _baseline_wall(GATED_REPRESENTATION, fib, events, GATED_OPTIONS)
-    reports = []
-    for workers in WORKER_CURVE:
-        # compiled=False leaves nothing to publish, so the curve pins
-        # the pipe transport explicitly — the record stays comparable
-        # across seeds whatever the default resolves to.
-        report = _serve_pool(
-            GATED_REPRESENTATION, fib, events, probes, workers, GATED_OPTIONS,
-            transport="pipe",
-        )
-        # The parity gate holds on every worker count, gated or not.
-        assert report.final_parity == 1.0, workers
-        assert report.pending_updates == 0
-        reports.append(report)
-    speedups = {
-        report.workers: report.measured_lookup_mlps / baseline_mlps
-        for report in reports
-    }
-
-    # The transport-bound compiled point, once per transport: the
-    # trajectory's transport-comparison axis. The shm row is the gated
-    # one; the pipe row is the foil it is measured against.
-    compiled_baseline = _baseline_wall(
+    baseline_mlps = _baseline_wall(
         COMPILED_REPRESENTATION, fib, storm_events, None
     )
+    # The 4-worker pool once per transport: the trajectory's
+    # transport-comparison axis. The shm row is the gated one; the
+    # pipe row is the foil it is measured against.
     compiled_rows = {}
     for transport in serve.TRANSPORTS:
         compiled = _serve_pool(
@@ -220,23 +189,35 @@ def test_worker_scaling_curve(
         assert compiled_rows["shm"].transport == "shm"
         assert serve.leaked_segments() == []
     compiled_speedups = {
-        transport: row.measured_lookup_mlps / compiled_baseline
+        transport: row.measured_lookup_mlps / baseline_mlps
         for transport, row in compiled_rows.items()
     }
-    assert reports[-1].model_agreement > 0.0
+
+    # The worker curve over shm; its 4-worker point is the shm run above.
+    curve = {}
+    for workers in WORKER_CURVE:
+        report = compiled_rows["shm"] if workers == 4 else _serve_pool(
+            COMPILED_REPRESENTATION, fib, storm_events, probes, workers, None,
+            transport="shm",
+        )
+        # The parity gate holds on every worker count, gated or not.
+        assert report.final_parity == 1.0, workers
+        assert report.pending_updates == 0
+        curve[workers] = report
+    speedups = {
+        workers: report.measured_lookup_mlps / baseline_mlps
+        for workers, report in curve.items()
+    }
 
     text = banner(
-        f"worker scaling on {PRIMARY_PROFILE} (scale {scale}, {LOOKUPS} lookups "
-        f"/ {UPDATES} updates, uniform, {GATED_REPRESENTATION} dispatch plane, "
+        f"worker scaling on {PRIMARY_PROFILE} (scale {scale}, {LOOKUPS} lookups, "
+        f"no churn, uniform, {COMPILED_REPRESENTATION} compiled plane, "
         f"best of {REPEAT}, {cpus} cpus)"
     )
     text += "\n" + render_worker_rows(
-        reports + [compiled_rows[t] for t in serve.TRANSPORTS if t in compiled_rows]
+        list(curve.values()) + [compiled_rows["pipe"]]
     )
-    text += (
-        f"\nsingle-process baseline: {baseline_mlps:.3f} Mlps wall "
-        f"(compiled point: {compiled_baseline:.3f} Mlps)"
-    )
+    text += f"\nsingle-process baseline: {baseline_mlps:.3f} Mlps wall"
     text += "\nwall-clock curve: " + "  ".join(
         f"{workers}w={speedups[workers]:.2f}x" for workers in WORKER_CURVE
     )
@@ -258,24 +239,22 @@ def test_worker_scaling_curve(
         "profile": PRIMARY_PROFILE,
         "scale": scale,
         "lookups": LOOKUPS,
-        "updates": UPDATES,
+        "updates": 0,
         "batch_size": BATCH_SIZE,
         "seed": SEED,
-        "representation": GATED_REPRESENTATION,
-        "options": GATED_OPTIONS,
+        "representation": COMPILED_REPRESENTATION,
         "repeat": REPEAT,
         "floor": WORKER_SPEEDUP_FLOOR,
         "compiled_floor": COMPILED_SPEEDUP_FLOOR,
         "cpus": cpus,
         "gated": gated,
         "baseline_mlps": baseline_mlps,
-        "compiled_baseline_mlps": compiled_baseline,
-        "rows": [report.to_dict() for report in reports],
+        "rows": [report.to_dict() for report in curve.values()],
         "compiled_rows": {
             transport: row.to_dict() for transport, row in compiled_rows.items()
         },
-        "speedups": {
-            f"{workers}-prefix": speedup for workers, speedup in speedups.items()
+        "compiled_curve": {
+            f"{workers}-shm": speedup for workers, speedup in speedups.items()
         },
         "compiled_speedup": compiled_speedups,
         "model_agreement": {
@@ -294,9 +273,9 @@ def test_worker_scaling_curve(
         )
         # More workers must not serve less than the degenerate pool.
         assert speedups[4] > speedups[1]
-        # The zero-copy floor: the compiled point over shm must clear
-        # the single-process compiled baseline (the pipe row exists to
-        # show why pickled transport could not).
+        # The zero-copy floor: the 4-worker pool over shm must clear
+        # the single-process baseline (the pipe row exists to show why
+        # pickled transport could not).
         if compiled_rows["shm"].transport == "shm":
             assert compiled_speedups["shm"] >= COMPILED_SPEEDUP_FLOOR, (
                 f"4-worker shm compiled throughput only "

@@ -1,4 +1,4 @@
-"""repro.pipeline — unified representation registry + batched lookups.
+"""repro.pipeline — unified representation registry + compiled batch lookups.
 
 The architectural seam between the paper's many FIB representations and
 everything that consumes them. Importing this package registers every
@@ -27,24 +27,14 @@ from repro.pipeline.base import (
     supports_trace,
     supports_updates,
 )
-from repro.pipeline.batch import (
-    DEFAULT_STRIDE,
-    MAX_STRIDE,
-    LabelDispatch,
-    NodeDispatch,
-    batch_resolve,
-    batch_walk,
-    build_label_dispatch,
-    build_node_dispatch,
-    check_stride,
-    patch_label_dispatch,
-    patch_node_dispatch,
-)
 from repro.pipeline.flat import (
     DEFAULT_MAX_CELLS,
+    DEFAULT_STRIDE,
     DEFAULT_SUB_STRIDE,
+    MAX_STRIDE,
     FlatCompileError,
     FlatProgram,
+    check_stride,
     compile_binary,
     compile_multibit,
     have_numpy,
@@ -94,24 +84,16 @@ __all__ = [
     "supports_trace",
     "supports_updates",
     "DEFAULT_MAX_CELLS",
+    "DEFAULT_STRIDE",
     "DEFAULT_SUB_STRIDE",
+    "MAX_STRIDE",
     "FlatCompileError",
     "FlatProgram",
     "compile_binary",
+    "check_stride",
     "compile_multibit",
     "have_numpy",
     "flat_capable",
-    "DEFAULT_STRIDE",
-    "MAX_STRIDE",
-    "LabelDispatch",
-    "NodeDispatch",
-    "batch_resolve",
-    "batch_walk",
-    "build_label_dispatch",
-    "build_node_dispatch",
-    "check_stride",
-    "patch_label_dispatch",
-    "patch_node_dispatch",
     "BENCH_HEADERS",
     "BenchRow",
     "bench_all",

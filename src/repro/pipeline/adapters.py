@@ -1,32 +1,30 @@
 """Adapters giving every representation the :class:`CompressedFib` API.
 
 Each adapter wraps one existing structure (``backend``), normalizes its
-construction to ``factory(fib, **options)``, and serves batched lookups
-through two planes:
+construction to ``factory(fib, **options)``, and serves two lookup
+paths:
 
-* the **compiled flat plane** (:mod:`repro.pipeline.flat`, default):
-  the representation is lowered once into a pointerless
-  :class:`~repro.pipeline.flat.FlatProgram` — binary-node structures
-  (binary trie, prefix DAG, ORTC, the serialized image's source DAG)
-  compile from their own nodes, the multibit DAG transcribes its fanout
-  blocks, and everything else compiles from a control trie over the
-  snapshotted source FIB (correct for any representation that preserves
-  the forwarding function — the registry's contract, enforced by the
-  parity suite);
-* the **dispatch engine** (:mod:`repro.pipeline.batch`, the PR 1 fast
-  path, kept as ``lookup_batch_dispatch``): stride-dispatch arrays over
-  Python nodes or the representation's scalar lookup. It serves when
-  compilation is disabled (``compiled=False``) or refused
-  (:class:`~repro.pipeline.flat.FlatCompileError` — e.g. an expansion
-  past the cell ceiling), and is what ``repro-fib bench`` measures the
-  compiled plane against.
+* the representation's own scalar ``lookup`` — the reference oracle;
+* ``lookup_batch`` through the **compiled flat plane**
+  (:mod:`repro.pipeline.flat`): the representation is lowered once into
+  a pointerless :class:`~repro.pipeline.flat.FlatProgram` — binary-node
+  structures (binary trie, prefix DAG, ORTC, the serialized image's
+  source DAG) compile from their own nodes, the multibit DAG
+  transcribes its fanout blocks, and everything else compiles from a
+  control trie over the snapshotted source FIB (correct for any
+  representation that preserves the forwarding function — the
+  registry's contract, enforced by the parity suite). The compiler is
+  total, so there is no second batch engine to fall back to: a
+  :class:`~repro.pipeline.flat.FlatCompileError` (malformed input)
+  propagates to the caller.
 
 Updatable representations (tabular, binary trie, prefix DAG) keep their
 compiled program live under churn with a **patch log**: ``apply_update``
 records the edited span and the next batch replays the log through
-:meth:`~repro.pipeline.flat.FlatProgram.patch` (recompiling only the
-covered root slots); once patch garbage would exceed the original image
-the program is recompiled from scratch.
+:meth:`~repro.pipeline.flat.FlatProgram.patch_many` (recompiling only
+the covered root slots); once patch garbage would exceed the original
+image, or the image outgrows its cell budget, the program is recompiled
+from scratch.
 
 The registry metadata (paper section, size model, option schema) lives
 on the ``@register`` decorations below, which is the table README.md
@@ -44,24 +42,15 @@ from repro.baselines.shapegraph import ShapeGraph
 from repro.core.fib import INVALID_LABEL, Fib
 from repro.core.multibit import MultibitDag
 from repro.core.prefixdag import PrefixDag
-from repro.core.serialize import NULL_REF, SerializedDag
+from repro.core.serialize import SerializedDag
 from repro.core.sizemodel import binary_trie_size_bits, tabular_size_bits
 from repro.core.trie import BinaryTrie
 from repro.core.xbw import XBWb
-from repro.pipeline.batch import (
-    DEFAULT_STRIDE,
-    batch_resolve,
-    batch_walk,
-    build_label_dispatch,
-    build_node_dispatch,
-    check_addresses,
-    check_stride,
-    patch_label_dispatch,
-    patch_node_dispatch,
-)
 from repro.pipeline.flat import (
-    FlatCompileError,
+    DEFAULT_STRIDE,
+    MAX_STRIDE,
     FlatProgram,
+    check_stride,
     compile_binary,
     compile_multibit,
 )
@@ -72,28 +61,21 @@ from repro.simulator.costmodel import (
     XBW_PRIMITIVE_CYCLES,
 )
 
-_STRIDE_OPTION = OptionSpec(
-    "dispatch_stride",
-    int,
-    DEFAULT_STRIDE,
-    "stride of the batched-lookup root dispatch array (2^s slots, s in [1, 20])",
+#: Options shared by every binary-compiled adapter below.
+_COMMON_OPTIONS = (
+    OptionSpec(
+        "dispatch_stride",
+        int,
+        DEFAULT_STRIDE,
+        "root stride of the compiled flat program (2^s slots, s in [1, 20])",
+    ),
 )
-
-_COMPILED_OPTION = OptionSpec(
-    "compiled",
-    bool,
-    True,
-    "serve lookup_batch from the compiled flat plane (False = PR 1 dispatch engine)",
-)
-
-#: Options shared by every adapter below.
-_COMMON_OPTIONS = (_STRIDE_OPTION, _COMPILED_OPTION)
 
 
 class RepresentationAdapter:
     """Shared adapter plumbing: backend storage, size conversions, and
     the compiled-plane lifecycle (lazy compile, patch-log replay,
-    bloat-triggered recompile, dispatch fallback)."""
+    bloat-triggered recompile)."""
 
     name = "?"  # overwritten by @register
 
@@ -104,18 +86,10 @@ class RepresentationAdapter:
     #: a plain route trie override this to False.
     _flat_leaf_pushed = True
 
-    def __init__(
-        self,
-        fib: Fib,
-        dispatch_stride: int = DEFAULT_STRIDE,
-        compiled: bool = True,
-    ):
+    def __init__(self, fib: Fib, dispatch_stride: int = DEFAULT_STRIDE):
         self._width = fib.width
-        self._dispatch_stride = check_stride(dispatch_stride)
-        self._dispatch = None
-        self._compiled_enabled = bool(compiled)
+        self._root_stride = check_stride(dispatch_stride)
         self._flat: Optional[FlatProgram] = None
-        self._flat_failed = False
         self._flat_log: List[Tuple[int, int]] = []
 
     @property
@@ -138,145 +112,78 @@ class RepresentationAdapter:
 
     # -------------------------------------------------------- compiled plane
 
-    def _compile_flat(self) -> Optional[FlatProgram]:
-        """Build this representation's flat program (None = no compiler)."""
-        return None
+    def _compile_flat(self) -> FlatProgram:
+        """Build this representation's flat program."""
+        raise NotImplementedError
 
     def _flat_source_root(self):
         """Binary root the patch log replays from (updatable adapters)."""
         raise NotImplementedError(f"{self.name} has no patchable flat source")
 
-    def flat_plane(self) -> Optional[FlatProgram]:
-        """The compiled lookup program, or None when the adapter serves
-        through the dispatch engine (compilation disabled or refused).
+    def flat_plane(self) -> FlatProgram:
+        """The compiled lookup program.
 
         Compiles lazily on first use; drains the patch log first, so the
         program a caller receives always reflects every applied update.
         """
-        if not self._compiled_enabled or self._flat_failed:
-            return None
-        if self._flat is not None and self._flat_log:
-            program = self._flat
-            root = self._flat_source_root()
-            try:
-                program.patch_many(
-                    self._flat_log, root, leaf_pushed=self._flat_leaf_pushed
-                )
-            except FlatCompileError:
-                self._flat = None  # patch hit the ceiling: recompile below
+        program = self._flat
+        if program is not None and self._flat_log:
+            program.patch_many(
+                self._flat_log,
+                self._flat_source_root(),
+                leaf_pushed=self._flat_leaf_pushed,
+            )
             self._flat_log.clear()
-            if self._flat is not None:
-                if program.bloated:
-                    self._flat = None  # recompile below, from the live state
-                elif program.overlay_bloated:
-                    # Enough side-table entries to slow the per-lookup
-                    # probe: fold them into the base image (a handful of
-                    # slice writes, still off the per-update clock).
-                    program.merge_overlay()
-        if self._flat is None:
-            try:
-                self._flat = self._compile_flat()
-            except FlatCompileError:
-                self._flat = None
+            if program.bloated:
+                program = None  # recompile below, from the live state
+            elif program.overlay_bloated:
+                # Enough side-table entries to slow the per-lookup
+                # probe: fold them into the base image (a handful of
+                # slice writes, still off the per-update clock).
+                program.merge_overlay()
+        if program is None:
+            program = self._flat = self._compile_flat()
             self._flat_log.clear()
-            if self._flat is None:
-                self._flat_failed = True
-                return None
-        return self._flat
+        return program
 
     def _log_flat_patch(self, prefix: int, length: int) -> None:
         """Record an applied update for lazy patch-log replay."""
         if self._flat is not None:
             self._flat_log.append((prefix, length))
 
-    # ---------------------------------------------------------------- batches
-
     def lookup_batch(self, addresses: Sequence[int]) -> List[Optional[int]]:
-        """Batched LPM: the compiled flat plane when available, else the
-        PR 1 dispatch engine."""
-        if not len(addresses):
+        """Batched LPM through the compiled flat plane."""
+        if not len(addresses):  # len(), not truthiness: ndarrays are batches too
             return []
-        program = self.flat_plane()
-        if program is not None:
-            return program.lookup_batch(addresses)
-        return self.lookup_batch_dispatch(addresses)
-
-    def lookup_batch_shared(self, addresses: Sequence[int]) -> List[Optional[int]]:
-        """Batched LPM through the shared-fate walk (each distinct
-        duplicate/terminal-slot cohort resolves once — see
-        :meth:`FlatProgram.lookup_batch_shared` for when that pays);
-        serves through the dispatch engine when uncompiled."""
-        if not len(addresses):
-            return []
-        program = self.flat_plane()
-        if program is not None:
-            return program.lookup_batch_shared(addresses)
-        return self.lookup_batch_dispatch(addresses)
-
-    def lookup_batch_dispatch(self, addresses: Sequence[int]) -> List[Optional[int]]:
-        raise NotImplementedError
+        return self.flat_plane().lookup_batch(addresses)
 
 
-def _trivial_batch(root, addresses: Sequence[int], width: int) -> Optional[List[Optional[int]]]:
-    """The degenerate batches that skip the dispatch build entirely.
-
-    An empty address list answers ``[]``, and a childless root (an empty
-    or default-route-only FIB) forwards every address to the root label —
-    neither is worth a 2^stride dispatch array. Returns None when the
-    batch needs the real fast path.
-    """
-    if not len(addresses):  # len(), not truthiness: ndarrays are batches too
-        return []
-    if root is not None and root.left is None and root.right is None:
-        check_addresses(addresses, width)
-        return [root.label] * len(addresses)
-    return None
-
-
-class _FallbackBatchAdapter(RepresentationAdapter):
+class _ControlTrieAdapter(RepresentationAdapter):
     """Serve representations without walkable binary nodes.
 
-    The compiled plane (and the dispatch fallback, and the control trie
-    both are derived from) is built lazily on the first ``lookup_batch``
-    call, so size-only consumers like ``repro-fib compress`` pay nothing
-    for it. The FIB is *snapshotted* (copied) at build time: mutating
-    the caller's FIB afterwards cannot desynchronize the lookup planes
-    from the frozen backend.
+    The compiled plane, and the control trie it compiles from, are
+    built lazily on the first ``lookup_batch`` call, so size-only
+    consumers like ``repro-fib compress`` pay nothing for them. The FIB
+    is *snapshotted* (copied) at build time: mutating the caller's FIB
+    afterwards cannot desynchronize the compiled plane from the frozen
+    backend.
     """
 
-    def __init__(
-        self,
-        fib: Fib,
-        dispatch_stride: int = DEFAULT_STRIDE,
-        compiled: bool = True,
-    ):
-        super().__init__(fib, dispatch_stride, compiled)
+    def __init__(self, fib: Fib, dispatch_stride: int = DEFAULT_STRIDE):
+        super().__init__(fib, dispatch_stride)
         self._source_fib = fib.copy()
         self._control: Optional[BinaryTrie] = None
 
     def _control_trie(self) -> BinaryTrie:
-        """The control trie both lookup planes derive from, built once:
-        bench/compare exercise the compiled and the dispatch plane on
-        the same adapter, so the O(N·W) trie build must not repeat."""
+        """The control trie the compiled plane derives from, built once."""
         if self._control is None:
             self._control = BinaryTrie.from_fib(self._source_fib)
         return self._control
 
-    def _compile_flat(self) -> Optional[FlatProgram]:
+    def _compile_flat(self) -> FlatProgram:
         return compile_binary(
-            self._control_trie().root, self._width, self._dispatch_stride
+            self._control_trie().root, self._width, self._root_stride
         )
-
-    def lookup_batch_dispatch(self, addresses: Sequence[int]) -> List[Optional[int]]:
-        if not addresses:
-            return []
-        if self._dispatch is None:
-            control = self._control_trie()
-            trivial = _trivial_batch(control.root, addresses, self._width)
-            if trivial is not None:
-                return trivial
-            self._dispatch = build_label_dispatch(control, self._dispatch_stride)
-        return batch_resolve(self._dispatch, self.lookup, addresses)
 
 
 @register(
@@ -289,17 +196,12 @@ class _FallbackBatchAdapter(RepresentationAdapter):
     supports_update=True,
     supports_flat=True,
 )
-class TabularAdapter(_FallbackBatchAdapter):
+class TabularAdapter(_ControlTrieAdapter):
     _flat_leaf_pushed = False  # patch source is the plain control trie
 
-    def __init__(
-        self,
-        fib: Fib,
-        dispatch_stride: int = DEFAULT_STRIDE,
-        compiled: bool = True,
-    ):
-        # The backend copy doubles as the dispatch snapshot.
-        RepresentationAdapter.__init__(self, fib, dispatch_stride, compiled)
+    def __init__(self, fib: Fib, dispatch_stride: int = DEFAULT_STRIDE):
+        # The backend copy doubles as the control-trie snapshot.
+        RepresentationAdapter.__init__(self, fib, dispatch_stride)
         self._backend = fib.copy()
         self._source_fib = self._backend
         self._control = None
@@ -311,7 +213,8 @@ class TabularAdapter(_FallbackBatchAdapter):
         return self._control_trie().root
 
     def apply_update(self, op) -> None:
-        """In-place table edit; repairs both lookup planes' spans."""
+        """In-place table edit, mirrored into the control trie and
+        logged for the compiled plane."""
         self._backend.update(op.prefix, op.length, op.label)
         if self._control is not None:
             if op.label is None:
@@ -319,8 +222,6 @@ class TabularAdapter(_FallbackBatchAdapter):
             else:
                 self._control.insert(op.prefix, op.length, op.label)
         self._log_flat_patch(op.prefix, op.length)
-        if self._dispatch is not None:
-            patch_label_dispatch(self._dispatch, self.lookup, op.prefix, op.length)
 
     def size_bits(self) -> int:
         return tabular_size_bits(
@@ -341,42 +242,25 @@ class TabularAdapter(_FallbackBatchAdapter):
 class BinaryTrieAdapter(RepresentationAdapter):
     _flat_leaf_pushed = False  # labels are the routes themselves
 
-    def __init__(
-        self,
-        fib: Fib,
-        dispatch_stride: int = DEFAULT_STRIDE,
-        compiled: bool = True,
-    ):
-        super().__init__(fib, dispatch_stride, compiled)
+    def __init__(self, fib: Fib, dispatch_stride: int = DEFAULT_STRIDE):
+        super().__init__(fib, dispatch_stride)
         self._backend = BinaryTrie.from_fib(fib)
         self._delta: Optional[int] = fib.delta
         self.lookup = self._backend.lookup
 
-    def _compile_flat(self) -> Optional[FlatProgram]:
-        return compile_binary(self._backend.root, self._width, self._dispatch_stride)
+    def _compile_flat(self) -> FlatProgram:
+        return compile_binary(self._backend.root, self._width, self._root_stride)
 
     def _flat_source_root(self):
         return self._backend.root
 
-    def lookup_batch_dispatch(self, addresses: Sequence[int]) -> List[Optional[int]]:
-        if self._dispatch is None:
-            trivial = _trivial_batch(self._backend.root, addresses, self._width)
-            if trivial is not None:
-                return trivial
-            self._dispatch = build_node_dispatch(
-                self._backend.root, self._width, self._dispatch_stride
-            )
-        return batch_walk(self._dispatch, addresses)
-
     def apply_update(self, op) -> None:
-        """Plain trie edit; repairs both lookup planes' spans."""
+        """Plain trie edit, logged for the compiled plane."""
         if op.label is None:
             self._backend.delete(op.prefix, op.length)
         else:
             self._backend.insert(op.prefix, op.length, op.label)
         self._log_flat_patch(op.prefix, op.length)
-        if self._dispatch is not None:
-            patch_node_dispatch(self._dispatch, self._backend.root, op.prefix, op.length)
         self._delta = None  # recomputed lazily by size_bits
 
     def size_bits(self) -> int:
@@ -394,14 +278,9 @@ class BinaryTrieAdapter(RepresentationAdapter):
     options=_COMMON_OPTIONS,
     supports_flat=True,
 )
-class PatriciaAdapter(_FallbackBatchAdapter):
-    def __init__(
-        self,
-        fib: Fib,
-        dispatch_stride: int = DEFAULT_STRIDE,
-        compiled: bool = True,
-    ):
-        super().__init__(fib, dispatch_stride, compiled)
+class PatriciaAdapter(_ControlTrieAdapter):
+    def __init__(self, fib: Fib, dispatch_stride: int = DEFAULT_STRIDE):
+        super().__init__(fib, dispatch_stride)
         self._backend = PatriciaTrie(fib)
         self.lookup = self._backend.lookup
 
@@ -424,17 +303,16 @@ class PatriciaAdapter(_FallbackBatchAdapter):
     supports_flat=True,
     trace_step_cycles=LCTRIE_STEP_CYCLES,
 )
-class LCTrieAdapter(_FallbackBatchAdapter):
+class LCTrieAdapter(_ControlTrieAdapter):
     def __init__(
         self,
         fib: Fib,
         dispatch_stride: int = DEFAULT_STRIDE,
-        compiled: bool = True,
         fill_factor: float = 0.5,
         max_bits: int = 17,
         root_bits: int = 0,
     ):
-        super().__init__(fib, dispatch_stride, compiled)
+        super().__init__(fib, dispatch_stride)
         self._backend = LCTrie(
             fib, fill_factor=fill_factor, max_bits=max_bits, root_bits=root_bits
         )
@@ -454,18 +332,16 @@ class LCTrieAdapter(_FallbackBatchAdapter):
         fib: Fib,
         backend: LCTrie,
         dispatch_stride: int = DEFAULT_STRIDE,
-        compiled: bool = True,
     ) -> "LCTrieAdapter":
         """Adapt an already-built LC-trie *variant* of ``fib``.
 
         ``backend`` must encode the same forwarding function as ``fib``
-        (e.g. the same routes under a different fill factor): the batch
-        planes are derived from ``fib``, exactly as in ``__init__``.
+        (e.g. the same routes under a different fill factor): the
+        compiled plane is derived from ``fib``, exactly as in
+        ``__init__``.
         """
         adapter = cls.__new__(cls)
-        RepresentationAdapter.__init__(adapter, fib, dispatch_stride, compiled)
-        adapter._source_fib = fib.copy()
-        adapter._control = None
+        _ControlTrieAdapter.__init__(adapter, fib, dispatch_stride)
         adapter._backend = backend
         adapter.lookup = backend.lookup
         adapter.lookup_trace = backend.lookup_trace
@@ -482,13 +358,8 @@ class LCTrieAdapter(_FallbackBatchAdapter):
     supports_flat=True,
 )
 class OrtcAdapter(RepresentationAdapter):
-    def __init__(
-        self,
-        fib: Fib,
-        dispatch_stride: int = DEFAULT_STRIDE,
-        compiled: bool = True,
-    ):
-        super().__init__(fib, dispatch_stride, compiled)
+    def __init__(self, fib: Fib, dispatch_stride: int = DEFAULT_STRIDE):
+        super().__init__(fib, dispatch_stride)
         self._backend = ortc_compress(fib)
         # One trie over the aggregated entries, null routes kept as ⊥ so
         # they erase any shorter covering label during the walk.
@@ -499,23 +370,11 @@ class OrtcAdapter(RepresentationAdapter):
         label = self._trie.lookup(address)
         return None if label is None or label == INVALID_LABEL else label
 
-    def _compile_flat(self) -> Optional[FlatProgram]:
+    def _compile_flat(self) -> FlatProgram:
         # The blackhole label ⊥ = 0 erases covering labels during the
         # leaf-push fill and lands in cells as the program's no-route
         # encoding — exactly ORTC's semantics, no post-processing.
-        return compile_binary(self._trie.root, self._width, self._dispatch_stride)
-
-    def lookup_batch_dispatch(self, addresses: Sequence[int]) -> List[Optional[int]]:
-        if self._dispatch is None:
-            raw = _trivial_batch(self._trie.root, addresses, self._width)
-            if raw is None:
-                self._dispatch = build_node_dispatch(
-                    self._trie.root, self._width, self._dispatch_stride
-                )
-        if self._dispatch is not None:
-            raw = batch_walk(self._dispatch, addresses)
-        invalid = INVALID_LABEL
-        return [None if label == invalid else label for label in raw]
+        return compile_binary(self._trie.root, self._width, self._root_stride)
 
     def size_bits(self) -> int:
         return tabular_size_bits(len(self._backend), max(2, self._delta), self._width)
@@ -530,14 +389,9 @@ class OrtcAdapter(RepresentationAdapter):
     options=_COMMON_OPTIONS,
     supports_flat=True,
 )
-class ShapeGraphAdapter(_FallbackBatchAdapter):
-    def __init__(
-        self,
-        fib: Fib,
-        dispatch_stride: int = DEFAULT_STRIDE,
-        compiled: bool = True,
-    ):
-        super().__init__(fib, dispatch_stride, compiled)
+class ShapeGraphAdapter(_ControlTrieAdapter):
+    def __init__(self, fib: Fib, dispatch_stride: int = DEFAULT_STRIDE):
+        super().__init__(fib, dispatch_stride)
         self._backend = ShapeGraph(fib)
         self.lookup = self._backend.lookup
 
@@ -559,15 +413,14 @@ class ShapeGraphAdapter(_FallbackBatchAdapter):
     trace_step_cycles=XBW_PRIMITIVE_CYCLES,
     heavy_trace=True,
 )
-class XBWAdapter(_FallbackBatchAdapter):
+class XBWAdapter(_ControlTrieAdapter):
     def __init__(
         self,
         fib: Fib,
         dispatch_stride: int = DEFAULT_STRIDE,
-        compiled: bool = True,
         wavelet_shape: str = "huffman",
     ):
-        super().__init__(fib, dispatch_stride, compiled)
+        super().__init__(fib, dispatch_stride)
         self._backend = XBWb.from_fib(fib, wavelet_shape=wavelet_shape)
         self.lookup = self._backend.lookup
         self.lookup_trace = self._backend.lookup_trace
@@ -593,10 +446,9 @@ class PrefixDagAdapter(RepresentationAdapter):
         self,
         fib: Fib,
         dispatch_stride: int = DEFAULT_STRIDE,
-        compiled: bool = True,
         barrier: Optional[int] = None,
     ):
-        super().__init__(fib, dispatch_stride, compiled)
+        super().__init__(fib, dispatch_stride)
         self._backend = PrefixDag(fib, barrier=barrier)
         self.lookup = self._backend.lookup
 
@@ -604,31 +456,19 @@ class PrefixDagAdapter(RepresentationAdapter):
     def barrier(self) -> int:
         return self._backend.barrier
 
-    def _compile_flat(self) -> Optional[FlatProgram]:
+    def _compile_flat(self) -> FlatProgram:
         # Folded sub-tries intern to shared blocks (the compile memo),
         # so the program inherits the DAG's economy.
-        return compile_binary(self._backend.root, self._width, self._dispatch_stride)
+        return compile_binary(self._backend.root, self._width, self._root_stride)
 
     def _flat_source_root(self):
         return self._backend.root
 
-    def lookup_batch_dispatch(self, addresses: Sequence[int]) -> List[Optional[int]]:
-        if self._dispatch is None:
-            trivial = _trivial_batch(self._backend.root, addresses, self._width)
-            if trivial is not None:
-                return trivial
-            self._dispatch = build_node_dispatch(
-                self._backend.root, self._width, self._dispatch_stride
-            )
-        return batch_walk(self._dispatch, addresses)
-
     def apply_update(self, op) -> None:
-        """Incremental §4.3 update; repairs both lookup planes' spans
-        (safe on the DAG — updates privatize the nodes they change)."""
+        """Incremental §4.3 update, logged for the compiled plane (safe
+        on the DAG — updates privatize the nodes they change)."""
         self._backend.update(op.prefix, op.length, op.label)
         self._log_flat_patch(op.prefix, op.length)
-        if self._dispatch is not None:
-            patch_node_dispatch(self._dispatch, self._backend.root, op.prefix, op.length)
 
     def size_bits(self) -> int:
         return self._backend.size_in_bits()
@@ -641,40 +481,25 @@ class PrefixDagAdapter(RepresentationAdapter):
     paper_section="§7",
     size_model="2^s·ptr·interior + lg δ·leaves",
     options=(
-        _COMPILED_OPTION,
-        OptionSpec("stride", int, 4, "address bits consumed per node (divides W)"),
+        OptionSpec("stride", int, 4, "address bits consumed per node (divides W, at most 20)"),
     ),
     supports_flat=True,
 )
 class MultibitDagAdapter(RepresentationAdapter):
-    def __init__(self, fib: Fib, compiled: bool = True, stride: int = 4):
-        super().__init__(fib, compiled=compiled)
+    def __init__(self, fib: Fib, stride: int = 4):
+        # The compiled root table is one 2^stride node: refuse a stride
+        # it cannot hold before paying for the fold.
+        if stride > MAX_STRIDE:
+            raise ValueError(
+                f"multibit stride {stride} exceeds the 2^{MAX_STRIDE} "
+                "root table cap of the compiled plane"
+            )
+        super().__init__(fib)
         self._backend = MultibitDag(fib, stride=stride)
         self.lookup = self._backend.lookup
 
-    def _compile_flat(self) -> Optional[FlatProgram]:
+    def _compile_flat(self) -> FlatProgram:
         return compile_multibit(self._backend)
-
-    def lookup_batch_dispatch(self, addresses: Sequence[int]) -> List[Optional[int]]:
-        """Inline walk over the fanout arrays, locals hoisted."""
-        check_addresses(addresses, self._width)
-        backend = self._backend
-        root = backend.root
-        stride = backend.stride
-        width = self._width
-        fan_mask = (1 << stride) - 1
-        out: List[Optional[int]] = []
-        append = out.append
-        for address in addresses:
-            node = root
-            shift = width - stride
-            children = node.children
-            while children is not None:
-                node = children[(address >> shift) & fan_mask]
-                children = node.children
-                shift -= stride
-            append(node.label)
-        return out
 
     def size_bits(self) -> int:
         return self._backend.size_in_bits()
@@ -687,7 +512,6 @@ class MultibitDagAdapter(RepresentationAdapter):
     paper_section="§5.3",
     size_model="2^λ stride table + packed node/leaf arrays",
     options=(
-        _COMPILED_OPTION,
         OptionSpec("barrier", int, None, "leaf-push barrier λ; None = entropy-chosen (eq. 3)"),
     ),
     supports_trace=True,
@@ -695,8 +519,8 @@ class MultibitDagAdapter(RepresentationAdapter):
     trace_step_cycles=SERIALIZED_DAG_STEP_CYCLES,
 )
 class SerializedDagAdapter(RepresentationAdapter):
-    def __init__(self, fib: Fib, compiled: bool = True, barrier: Optional[int] = None):
-        super().__init__(fib, compiled=compiled)
+    def __init__(self, fib: Fib, barrier: Optional[int] = None):
+        super().__init__(fib)
         self._dag = PrefixDag(fib, barrier=barrier)
         self._backend = SerializedDag(self._dag)
         self.lookup = self._backend.lookup
@@ -711,60 +535,23 @@ class SerializedDagAdapter(RepresentationAdapter):
         """The prefix DAG the image was serialized from."""
         return self._dag
 
-    def _compile_flat(self) -> Optional[FlatProgram]:
+    def _compile_flat(self) -> FlatProgram:
         # The image copies the DAG into flat arrays, so compiling from
         # the source DAG's nodes encodes the same forwarding function.
         return compile_binary(self._dag.root, self._width, DEFAULT_STRIDE)
 
     @classmethod
-    def from_dag(
-        cls, fib: Fib, dag: PrefixDag, compiled: bool = True
-    ) -> "SerializedDagAdapter":
+    def from_dag(cls, fib: Fib, dag: PrefixDag) -> "SerializedDagAdapter":
         """Serialize an already-folded DAG of ``fib``, skipping the
         second trie-folding pass (the image copies everything into flat
         arrays, so sharing the fold is safe)."""
         adapter = cls.__new__(cls)
-        RepresentationAdapter.__init__(adapter, fib, compiled=compiled)
+        RepresentationAdapter.__init__(adapter, fib)
         adapter._dag = dag
         adapter._backend = SerializedDag(dag)
         adapter.lookup = adapter._backend.lookup
         adapter.lookup_trace = adapter._backend.lookup_trace
         return adapter
-
-    def lookup_batch_dispatch(self, addresses: Sequence[int]) -> List[Optional[int]]:
-        """Batched walk straight over the image arrays: the λ stride
-        table already is the root dispatch, so the batch path only has
-        to hoist the arrays into locals and run the tagged-reference
-        loop inline."""
-        check_addresses(addresses, self._width)
-        image = self._backend
-        shift = image.width - image.barrier
-        table_ref = image.table_ref
-        table_label = image.table_label
-        left = image.left
-        right = image.right
-        leaf_label = image.leaf_label
-        null_ref = NULL_REF
-        out: List[Optional[int]] = []
-        append = out.append
-        for address in addresses:
-            slot = address >> shift
-            ref = table_ref[slot]
-            best = table_label[slot]
-            if ref != null_ref:
-                position = shift - 1
-                while not (ref & 1):
-                    index = ref >> 1
-                    if (address >> position) & 1:
-                        ref = right[index]
-                    else:
-                        ref = left[index]
-                    position -= 1
-                label = leaf_label[ref >> 1]
-                if label:
-                    best = label
-            append(best if best else None)
-        return out
 
     def size_bits(self) -> int:
         return self._backend.size_in_bits()

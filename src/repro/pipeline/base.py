@@ -8,9 +8,10 @@ codebase. :class:`CompressedFib` is the one protocol they all share now:
 * ``name`` — the registry key of the representation;
 * ``build``-time construction from a tabular :class:`~repro.core.fib.Fib`
   (done by the registry's :func:`~repro.pipeline.registry.build`);
-* ``lookup`` / ``lookup_batch`` — longest-prefix match, scalar and
-  batched (the batch path amortizes dispatch through a shared stride
-  table, see :mod:`repro.pipeline.batch`);
+* ``lookup`` / ``lookup_batch`` — longest-prefix match: the scalar
+  lookup is the reference oracle, and the batch path runs the
+  representation's compiled flat program (see
+  :mod:`repro.pipeline.flat`);
 * ``size_bits`` — the paper's analytic memory model for the structure;
 * optional ``apply_update`` (incremental updates, §4.3) and
   ``lookup_trace`` (byte-address streams for the cache simulator).
@@ -74,13 +75,12 @@ def supports_trace(representation) -> bool:
 
 def supports_flat(representation) -> bool:
     """True when the representation exposes the compiled flat plane
-    (``flat_plane``; the call may still return None when compilation is
-    disabled or was refused for this instance)."""
+    (``flat_plane``)."""
     return callable(getattr(representation, "flat_plane", None))
 
 
 def flat_program(representation):
-    """The representation's compiled program, or None (no capability,
-    compilation disabled, or the compiler refused the input)."""
+    """The representation's compiled program, or None when it has no
+    ``flat_plane`` capability."""
     plane = getattr(representation, "flat_plane", None)
     return plane() if callable(plane) else None

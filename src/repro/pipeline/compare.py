@@ -5,10 +5,8 @@ representation over the same address trace and checks that scalar
 ``lookup`` and batched ``lookup_batch`` both return exactly the labels
 the tabular oracle returns — compression must be forwarding-equivalent,
 bit for bit (Lemma 5's "no space/time trade-off" claim, generalized to
-every representation in the registry). Since the compiled flat plane
-became the default ``lookup_batch`` backend, a sample also goes through
-``lookup_batch_dispatch`` (the PR 1 engine, still reachable when
-compilation is disabled or refused) so the fallback cannot rot unseen.
+every representation in the registry). ``lookup_batch`` runs the
+compiled flat plane, so this checks the compiler against the oracle.
 """
 
 from __future__ import annotations
@@ -114,17 +112,6 @@ def compare_representations(
                 mismatch_count += 1
                 if len(mismatches) < mismatch_cap:
                     mismatches.append(Mismatch(address, want, got, "lookup"))
-        dispatch_fn = getattr(representation, "lookup_batch_dispatch", None)
-        if callable(dispatch_fn) and addresses:
-            sample = list(addresses[:scalar_sample])
-            for address, want, got in zip(sample, oracle, dispatch_fn(sample)):
-                checked += 1
-                if got != want:
-                    mismatch_count += 1
-                    if len(mismatches) < mismatch_cap:
-                        mismatches.append(
-                            Mismatch(address, want, got, "lookup_batch_dispatch")
-                        )
 
         rows.append(
             CompareRow(

@@ -1,10 +1,9 @@
 """repro.pipeline.flat — the compiled, pointerless lookup plane.
 
-The batch engine of :mod:`repro.pipeline.batch` still resolves every
-non-uniform dispatch slot by chasing Python node objects (attribute
-loads, ``None`` checks) or by falling back to the representation's
-scalar lookup. This module removes the last object dereference from the
-hot path the way the paper's fastest structures do (§5.3's serialized,
+This is the one batch lookup engine every registered representation
+serves through (the representation's own scalar ``lookup`` stays as the
+reference oracle). It removes every object dereference from the hot
+path the way the paper's fastest structures do (§5.3's serialized,
 λ-level-collapsed image; the pointerless encodings of Tapolcai et al.,
 *Memory size bounds of prefix DAGs*): any registered representation is
 **compiled** once into a :class:`FlatProgram` — parallel ``array('q')``
@@ -39,6 +38,16 @@ Blocks are interned by source node during compilation, so a folded DAG's
 shared sub-tries become shared cell blocks and the compiled image keeps
 the DAG's economy.
 
+**The compiler is total.** A binary compile that would pass its cell
+budget (:data:`DEFAULT_MAX_CELLS`) is retried with the block sub-stride
+halved (8 → 4 → 2 → 1) — the level-collapsing trade of §5.3 run in
+reverse: fewer bits per block, more levels, far less expansion. A
+sub-stride-1 compile has no budget at all, because it writes at most
+two cells per (node, inherited label, depth) and so stays linear in the
+source. :attr:`FlatProgram.sub_stride` (and the ``repr``) reports the
+stride the compiler settled on. :class:`FlatCompileError` is raised only
+for malformed input, out-of-range strides and frozen programs.
+
 **The patch-log lifecycle** (how updatable representations stay on this
 plane under churn): (1) the adapter's ``apply_update`` edits its live
 structure and appends the edited ``prefix/length`` span to a patch log
@@ -47,27 +56,21 @@ structure and appends the edited ``prefix/length`` span to a patch log
 batched lookup, on the update clock — replays the log through
 :meth:`FlatProgram.patch`, recompiling only the root slots the spans
 cover; (3) replaced child blocks are abandoned in place, and once that
-garbage would exceed the original image (:attr:`FlatProgram.bloated`)
-the owning adapter recompiles from scratch; (4) on an epoch swap the
-serve engine rebuilds the representation and compiles a fresh program
-off the lookup path, resetting the log. Compilation is therefore an
-acceleration with no correctness window: lookups always run against a
-program equivalent to the live structure.
+garbage would exceed the original image, or the image outgrows its cell
+budget (:attr:`FlatProgram.bloated`), the owning adapter recompiles
+from scratch; (4) on an epoch swap the serve engine rebuilds the
+representation and compiles a fresh program off the lookup path,
+resetting the log. Lookups therefore always run against a program
+equivalent to the live structure.
 
-``lookup_batch`` runs the program three ways, fastest available first:
+``lookup_batch`` runs the program two ways:
 
 * **vectorized** — when NumPy is importable (and the address width fits
   int64), the whole batch is resolved with gather operations: one fancy
   index per level over the still-live addresses, then an object-table
   gather decodes labels to Python ints/None in C;
-* **pointer-free Python loop** — the portable fallback: a handful of
-  bytecodes per level, no attribute loads, no object dereferences;
-* **shared-fate walk** (:meth:`FlatProgram.lookup_batch_shared`) —
-  resolves each distinct fate once: duplicates and terminal-root-slot
-  cohorts share one probe (a sorted ``np.unique`` dedup on the vector
-  path, per-batch memos on the portable path). An opt-in primitive for
-  callers whose per-distinct-address cost dominates; the plain paths
-  above usually win on raw lookup throughput.
+* **pointer-free Python loop** — the portable walk: a handful of
+  bytecodes per level, no attribute loads, no object dereferences.
 
 Programs support **bounded-cost in-place patching**
 (:meth:`FlatProgram.patch` / :meth:`~FlatProgram.patch_many`): a deep
@@ -85,17 +88,7 @@ image off the lookup clock. Terminal runs are also journaled
 (:meth:`~FlatProgram.take_patch_delta`) so the shm serving plane can
 ship a *clean* window of them to attached workers as a delta
 (:meth:`~FlatProgram.overlay_ingest`) instead of republishing the
-whole image. Replaced blocks are abandoned in the cell arrays and the
-program reports itself :attr:`~FlatProgram.bloated` once the garbage
-would exceed the original image, at which point the owning adapter
-recompiles from scratch. This is what keeps incremental
-representations on the compiled plane under churn (the serve engine's
-patch-log replay).
-
-The compiler refuses pathological inputs (:class:`FlatCompileError`,
-e.g. an expansion larger than :data:`DEFAULT_MAX_CELLS`); adapters
-catch it and fall back to the PR 1 dispatch engine, so compilation is
-strictly an acceleration, never a correctness risk.
+whole image.
 """
 
 from __future__ import annotations
@@ -109,7 +102,14 @@ try:  # NumPy is optional: the pure-Python program is always available.
 except ImportError:  # pragma: no cover - exercised via vectorize=False
     _np = None
 
-from repro.pipeline.batch import check_addresses
+#: Default root stride of a compiled program (a 256-slot root table);
+#: the throughput benchmarks use 16.
+DEFAULT_STRIDE = 8
+
+#: Largest root stride a caller may request: 2^20 slots is already a
+#: multi-megabyte table, and beyond it the build cost swamps any batch
+#: win (the same guard SerializedDag applies to its λ table).
+MAX_STRIDE = 20
 
 #: Address bits consumed per child block below the root table.
 DEFAULT_SUB_STRIDE = 8
@@ -124,8 +124,8 @@ TERMINAL = -1
 #: ``val`` encoding of "no route" (table labels are 1..δ).
 NO_ROUTE = 0
 
-#: Compilation ceiling: programs larger than this many cells refuse to
-#: build (the adapter then serves through the dispatch engine instead).
+#: Cell budget of a binary compile: a compile that would pass it is
+#: retried at half the sub-stride (sub-stride 1 has no budget).
 DEFAULT_MAX_CELLS = 1 << 22
 
 #: Largest address width the int64 vector path can shift safely.
@@ -138,10 +138,6 @@ _NUMPY_MAX_WIDTH = 62
 #: gather machinery through (this caps the per-batch fixed cost, which
 #: is what a sharded deployment's split batches are most sensitive to).
 _VECTOR_TAIL_CUTOFF = 128
-
-#: Largest root table a compiler may materialize (2^20 slots, matching
-#: :data:`repro.pipeline.batch.MAX_STRIDE`).
-MAX_ROOT_STRIDE = 20
 
 #: Patched terminal runs at least this many root slots wide land in the
 #: delta overlay instead of being written across the root arrays — one
@@ -250,6 +246,39 @@ class FlatCompileError(ValueError):
     """A representation cannot be compiled into a flat program."""
 
 
+class _OverBudget(Exception):
+    """A compile passed its cell budget (caught by :func:`compile_binary`,
+    which retries at a smaller sub-stride)."""
+
+
+def check_stride(stride: int) -> int:
+    """Validate a requested root stride (raises ValueError).
+
+    Called by the adapters at build time so a bad stride fails fast,
+    before any lookups run.
+    """
+    if not 1 <= stride <= MAX_STRIDE:
+        raise ValueError(
+            f"dispatch_stride must be in [1, {MAX_STRIDE}], got {stride}"
+        )
+    return stride
+
+
+def check_addresses(addresses: Sequence[int], width: int) -> None:
+    """Range-check a whole batch in two C-speed passes (min/max), so the
+    portable walk rejects bad addresses exactly like the scalar lookups
+    — instead of Python's negative indexing silently wrapping a root
+    slot into a fabricated route."""
+    if not len(addresses):
+        return
+    lowest = min(addresses)
+    if lowest < 0:
+        raise ValueError(f"address {lowest:#x} outside {width}-bit space")
+    highest = max(addresses)
+    if highest >> width:
+        raise ValueError(f"address {highest:#x} outside {width}-bit space")
+
+
 def have_numpy() -> bool:
     """True when the vectorized batch path is importable."""
     return _np is not None
@@ -291,12 +320,12 @@ class FlatProgram:
         width: int,
         root_stride: int,
         sub_stride: int = DEFAULT_SUB_STRIDE,
-        max_cells: int = DEFAULT_MAX_CELLS,
+        max_cells: Optional[int] = DEFAULT_MAX_CELLS,
     ):
-        if not 1 <= root_stride <= min(width, MAX_ROOT_STRIDE):
+        if not 1 <= root_stride <= min(width, MAX_STRIDE):
             raise FlatCompileError(
                 f"flat root stride {root_stride} outside "
-                f"[1, {min(width, MAX_ROOT_STRIDE)}] for width {width}"
+                f"[1, {min(width, MAX_STRIDE)}] for width {width}"
             )
         if not 1 <= sub_stride <= STRIDE_MASK:
             raise FlatCompileError(
@@ -306,6 +335,8 @@ class FlatProgram:
         self.root_stride = root_stride
         self.root_shift = width - root_stride
         self.sub_stride = sub_stride
+        #: Cell budget the image must stay within (None = unbounded);
+        #: patches past it mark the program :attr:`bloated`.
         self.max_cells = max_cells
         size = 1 << root_stride
         self.root_ptr = array("q", [TERMINAL]) * size
@@ -428,7 +459,7 @@ class FlatProgram:
         program.root_stride = root_stride
         program.root_shift = width - root_stride
         program.sub_stride = sub_stride
-        program.max_cells = DEFAULT_MAX_CELLS
+        program.max_cells = None  # budgeted where it was compiled
         program.root_ptr = root_ptr
         program.root_val = root_val
         program.cell_ptr = cell_ptr
@@ -467,10 +498,14 @@ class FlatProgram:
 
     @property
     def bloated(self) -> bool:
-        """True once patch garbage warrants a from-scratch recompile:
+        """True once the image warrants a from-scratch recompile:
         patches abandon replaced blocks in place, so after enough churn
-        the dead cells would exceed the original image."""
-        return self.appended_cells > max(4096, self._initial_cells)
+        the dead cells would exceed the original image — or patches
+        grew the image past its cell budget, which a recompile meets
+        at a smaller sub-stride."""
+        return self.appended_cells > max(4096, self._initial_cells) or (
+            self.max_cells is not None and len(self.cell_ptr) > self.max_cells
+        )
 
     @property
     def overlay_len(self) -> int:
@@ -584,14 +619,15 @@ class FlatProgram:
     def __repr__(self) -> str:
         return (
             f"FlatProgram(width={self.width}, root=2^{self.root_stride}, "
-            f"cells={len(self.cell_ptr)}, "
+            f"sub_stride={self.sub_stride}, cells={len(self.cell_ptr)}, "
             f"{'vector' if self.vectorized else 'python'}, "
             f"size={self.size_in_kbytes():.1f} KB)"
         )
 
     # ----------------------------------------------------------- compilation
 
-    def emit_block(self, node, best: int, remaining: int, memo: dict, depths: dict) -> int:
+    def emit_block(self, node, best: int, remaining: int, memo: dict,
+                   depths: dict, budget: Optional[int] = None) -> int:
         """Expand binary ``node`` (non-leaf) into a fresh child block;
         returns the encoded ``(base << 6) | stride`` reference.
 
@@ -599,7 +635,9 @@ class FlatProgram:
         into every cell the sub-trie leaves uncovered); ``remaining`` is
         the address bits left below the block's top. ``memo`` interns
         blocks by ``(id(node), best, remaining)`` so DAG-shaped inputs
-        (folded sub-tries) compile each shared region once.
+        (folded sub-tries) compile each shared region once. ``budget``
+        caps the cell count during a compile (None = no cap: patches
+        and sub-stride-1 compiles).
         """
         if remaining <= 0:
             raise FlatCompileError("interior node below the address width")
@@ -610,21 +648,18 @@ class FlatProgram:
         stride = min(self.sub_stride, remaining, max(1, _depth_below(node, depths)))
         fan = 1 << stride
         base = len(self.cell_ptr)
-        if base + fan > self.max_cells:
-            raise FlatCompileError(
-                f"flat program exceeds {self.max_cells} cells; "
-                "serve this representation through the dispatch engine"
-            )
+        if budget is not None and base + fan > budget:
+            raise _OverBudget
         self.cell_ptr.extend([TERMINAL] * fan)
         self.cell_val.extend([NO_ROUTE] * fan)
         self._fill(self.cell_ptr, self.cell_val, base, node, 0, stride,
-                   0, best, remaining - stride, memo, depths)
+                   0, best, remaining - stride, memo, depths, budget)
         encoded = (base << STRIDE_BITS) | stride
         memo[key] = encoded
         return encoded
 
     def _fill(self, ptrs, vals, offset, node, depth, stride, slot, best,
-              remaining, memo, depths) -> None:
+              remaining, memo, depths, budget=None) -> None:
         """Recursive descent filling one block's ``2^stride`` cells.
 
         ``remaining`` counts the address bits below the block being
@@ -642,7 +677,8 @@ class FlatProgram:
                 vals[index] = best
             else:
                 vals[index] = best
-                ptrs[index] = self.emit_block(node, best, remaining, memo, depths)
+                ptrs[index] = self.emit_block(node, best, remaining, memo,
+                                              depths, budget)
             return
         half = 1 << (stride - depth - 1)
         left, right = node.left, node.right
@@ -652,14 +688,14 @@ class FlatProgram:
                 vals[index] = best
         else:
             self._fill(ptrs, vals, offset, left, depth + 1, stride,
-                       slot, best, remaining, memo, depths)
+                       slot, best, remaining, memo, depths, budget)
         if right is None:
             start = offset + slot + half
             for index in range(start, start + half):
                 vals[index] = best
         else:
             self._fill(ptrs, vals, offset, right, depth + 1, stride,
-                       slot + half, best, remaining, memo, depths)
+                       slot + half, best, remaining, memo, depths, budget)
 
     # -------------------------------------------------------------- patching
 
@@ -995,38 +1031,11 @@ class FlatProgram:
             )
         return count * 8
 
-    def lookup_batch_shared(self, addresses: Sequence[int]) -> List[Optional[int]]:
-        """Batched LPM resolving shared-fate addresses together.
-
-        Duplicate addresses resolve once, and addresses landing in the
-        same terminal root slot share one probe: on the vector path via
-        a sorted dedup (``np.unique`` + inverse gather), on the portable
-        path via per-batch slot/address memos. Measured against plain
-        :meth:`lookup_batch` this only pays off when a distinct
-        resolution costs far more than the sharing bookkeeping — very
-        deep programs, extreme duplicate ratios on the Python path, or
-        callers whose downstream work is per-distinct-address. The
-        vectorized plain path is usually faster because its gathers are
-        duplicate-insensitive; benchmark before preferring this walk.
-        """
-        if not len(addresses):
-            return []
-        if self.vectorized:
-            np = _np
-            root_ptr, root_val, cell_ptr, cell_val, decode = self._ensure_views()
-            batch = self._to_vector(np, addresses)
-            unique, inverse = np.unique(batch, return_inverse=True)
-            labels = self._resolve_vector(np, unique, root_ptr, root_val,
-                                          cell_ptr, cell_val)
-            return decode[labels[inverse]].tolist()
-        check_addresses(addresses, self.width)
-        return self._batch_python_shared(addresses)
-
     # ------------------------------------------------------ vectorized plane
 
     def _to_vector(self, np, addresses: Sequence[int]):
         """Convert and range-check a batch in C (the vector-path twin of
-        :func:`~repro.pipeline.batch.check_addresses`).
+        :func:`check_addresses`).
 
         Packed batches — ``array('q')`` buffers or int64 ndarrays, the
         wire format of the multi-process serving plane — convert by
@@ -1221,68 +1230,6 @@ class FlatProgram:
                     break
         return out
 
-    def _batch_python_shared(self, addresses: Sequence[int]) -> List[Optional[int]]:
-        """Shared-fate walk without a sort: per-batch memos keyed by
-        terminal root slot (every address under it forwards alike) and
-        by full address (for deep regions), so each distinct fate walks
-        once. A Python sort of the batch costs more than the walk it
-        would save — measured — hence dictionaries, not ordering."""
-        root_shift = self.root_shift
-        root_ptr = self.root_ptr
-        root_val = self.root_val
-        cell_ptr = self.cell_ptr
-        cell_val = self.cell_val
-        stride_mask = STRIDE_MASK
-        stride_bits = STRIDE_BITS
-        slot_memo: dict = {}
-        addr_memo: dict = {}
-        slot_get = slot_memo.get
-        addr_get = addr_memo.get
-        missing = TERMINAL  # never a valid label object
-        out: List[Optional[int]] = []
-        append = out.append
-        overlay = self._overlay
-        overlay_get = (
-            overlay.get if overlay is not None and overlay.starts else None
-        )
-        for address in addresses:
-            slot = address >> root_shift
-            label = slot_get(slot, missing)
-            if label is not missing:
-                append(label)
-                continue
-            if overlay_get is not None:
-                value = overlay_get(slot)
-                if value is not None:
-                    label = value if value else None
-                    slot_memo[slot] = label
-                    append(label)
-                    continue
-            encoded = root_ptr[slot]
-            if encoded < 0:
-                value = root_val[slot]
-                label = value if value else None
-                slot_memo[slot] = label
-                append(label)
-                continue
-            label = addr_get(address, missing)
-            if label is missing:
-                shift = root_shift
-                while True:
-                    stride = encoded & stride_mask
-                    shift -= stride
-                    index = (encoded >> stride_bits) + (
-                        (address >> shift) & ((1 << stride) - 1)
-                    )
-                    encoded = cell_ptr[index]
-                    if encoded < 0:
-                        value = cell_val[index]
-                        label = value if value else None
-                        break
-                addr_memo[address] = label
-            append(label)
-        return out
-
     # ------------------------------------------------------------ simulation
 
     @property
@@ -1352,38 +1299,50 @@ def compile_binary(
     coincides with the program's no-route encoding). The requested root
     stride is clamped to the structure's height, so shallow or
     degenerate FIBs get proportionally small tables.
+
+    Total: a compile that would pass ``max_cells`` cells is retried with
+    the sub-stride halved, down to 1, which has no budget (at most two
+    cells per node, inherited label and depth). The returned program's
+    :attr:`~FlatProgram.sub_stride` is the stride that fit.
     """
     depths: dict = {}
     height = _depth_below(root, depths)
     effective = max(1, min(root_stride, width, max(height, 1)))
-    program = FlatProgram(width, effective, sub_stride, max_cells)
-    memo: dict = {}
-    program._fill(program.root_ptr, program.root_val, 0, root, 0, effective,
-                  0, NO_ROUTE, width - effective, memo, depths)
-    return program.seal()
+    while True:
+        budget = max_cells if sub_stride > 1 else None
+        program = FlatProgram(width, effective, sub_stride, budget)
+        try:
+            program._fill(program.root_ptr, program.root_val, 0, root, 0,
+                          effective, 0, NO_ROUTE, width - effective, {},
+                          depths, budget)
+        except _OverBudget:
+            sub_stride //= 2
+            continue
+        return program.seal()
 
 
-def compile_multibit(dag, max_cells: int = DEFAULT_MAX_CELLS) -> FlatProgram:
+def compile_multibit(dag) -> FlatProgram:
     """Compile a :class:`~repro.core.multibit.MultibitDag` by direct
     block transcription: every interior node already is a ``2^s``-fanout
     table with fully expanded labels, so each folded node becomes one
     block (shared nodes intern to shared blocks, preserving the DAG's
-    economy in the compiled image)."""
+    economy in the compiled image). The image copies the DAG's own
+    nodes, so it needs no cell budget."""
     width = dag.width
     stride = dag.stride
     root = dag.root
     if root.is_leaf:
-        program = FlatProgram(width, 1, min(stride, STRIDE_MASK), max_cells)
+        program = FlatProgram(width, 1, min(stride, STRIDE_MASK), None)
         label = root.label if root.label is not None else NO_ROUTE
         program.root_val[0] = label
         program.root_val[1] = label
         program.max_label = label
         return program.seal()
-    if stride > MAX_ROOT_STRIDE:
+    if stride > MAX_STRIDE:
         raise FlatCompileError(
-            f"multibit stride {stride} exceeds the 2^{MAX_ROOT_STRIDE} root table cap"
+            f"multibit stride {stride} exceeds the 2^{MAX_STRIDE} root table cap"
         )
-    program = FlatProgram(width, stride, min(stride, STRIDE_MASK), max_cells)
+    program = FlatProgram(width, stride, min(stride, STRIDE_MASK), None)
     cell_ptr = program.cell_ptr
     cell_val = program.cell_val
     memo: dict = {}
@@ -1396,11 +1355,6 @@ def compile_multibit(dag, max_cells: int = DEFAULT_MAX_CELLS) -> FlatProgram:
         node_stride = min(stride, remaining)
         fan = 1 << node_stride
         base = len(cell_ptr)
-        if base + fan > max_cells:
-            raise FlatCompileError(
-                f"flat program exceeds {max_cells} cells; "
-                "serve this representation through the dispatch engine"
-            )
         cell_ptr.extend([TERMINAL] * fan)
         cell_val.extend([NO_ROUTE] * fan)
         for combo, child in enumerate(node.children):

@@ -22,8 +22,9 @@ program (:mod:`repro.pipeline.flat`) is compiled when a generation is
 built — off the lookup path, inside the rebuild timer at every epoch
 swap — and kept live on the incremental plane by draining the adapter's
 patch log *before* the lookup timer starts (the replay is churn-induced
-work, charged to the update plane). When a representation refuses to
-compile, the server transparently degrades to the PR 1 dispatch engine.
+work, charged to the update plane). The flat compiler is total, so a
+batched server never serves from any other batch engine; an unbatched
+server (``batched=False``) runs the scalar lookup per address.
 
 The server always keeps a **control FIB** — the continuously-updated
 tabular oracle — which is what rebuilds snapshot from, what the
@@ -266,7 +267,7 @@ class FibServer:
 
     def _drain_patches(self):
         """Replay the compiled plane's patch log on the update clock;
-        returns the live program (None when unbatched or uncompiled)."""
+        returns the live program (None when unbatched)."""
         if not self._batched:
             return None
         started = time.perf_counter()
@@ -274,22 +275,22 @@ class FibServer:
         elapsed = time.perf_counter() - started
         self._update_seconds += elapsed
         self._obs_drain.observe(elapsed)
-        if program is not None:
-            if program is not self._patch_program:
-                # New program (first compile or epoch recompile): the
-                # slot counter baselines from it, not the old one.
-                self._patch_program = program
-                self._patch_slots_seen = program.patch_slots_total
-            slots = program.patch_slots_total
-            if slots != self._patch_slots_seen:
-                self._obs_patch_slots.inc(slots - self._patch_slots_seen)
-                self._patch_slots_seen = slots
-                self._obs_patch_seconds.observe(elapsed)
-            self._obs_overlay.set(program.overlay_len)
+        if program is not self._patch_program:
+            # New program (first compile or epoch recompile): the slot
+            # counter baselines from it, not the old one.
+            self._patch_program = program
+            self._patch_slots_seen = program.patch_slots_total
+        slots = program.patch_slots_total
+        if slots != self._patch_slots_seen:
+            self._obs_patch_slots.inc(slots - self._patch_slots_seen)
+            self._patch_slots_seen = slots
+            self._obs_patch_seconds.observe(elapsed)
+        self._obs_overlay.set(program.overlay_len)
         return program
 
     def serving_program(self):
-        """The live compiled program, patch log drained — or None.
+        """The live compiled program, patch log drained (None when
+        unbatched).
 
         The attach-time publish hook for the shared-memory transport:
         the frontend hosts one FibServer as the *publisher* and, at each
@@ -365,13 +366,11 @@ class FibServer:
         started = time.perf_counter()
         if program is not None:
             payload = program.lookup_batch_packed(addresses)
-        else:  # no compiled plane: decode through the dispatch engine
-            labels = (
-                self._representation.lookup_batch(addresses)
-                if self._batched
-                else [self._representation.lookup(a) for a in addresses]
-            )
-            payload = array("q", [label or 0 for label in labels]).tobytes()
+        else:  # unbatched: the scalar lookup, packed
+            scalar = self._representation.lookup
+            payload = array(
+                "q", [scalar(address) or 0 for address in addresses]
+            ).tobytes()
         elapsed = time.perf_counter() - started
         self._lookup_seconds += elapsed
         self._obs_latency.observe(elapsed)

@@ -25,9 +25,8 @@ workers onto it through their request rings (``OP_ATTACH``), FIFO with
 the data they serve. The pipe remains connected but carries only the
 low-rate control plane: readiness, ``report``, ``shutdown`` — and its
 EOF is still how a worker death is detected. ``"pipe"`` is the PR 5
-wire protocol below, kept for unbatched serving, representations with
-no compiled plane, and hosts without POSIX shared memory; ``"shm"``
-falls back to it cleanly in those cases.
+wire protocol below, kept for unbatched serving and hosts without POSIX
+shared memory; ``"shm"`` falls back to it cleanly in those cases.
 
 **The pipe wire protocol.** One full-duplex ``multiprocessing`` pipe
 per worker carries pickled tuples; bulk payloads travel as packed int64
@@ -170,7 +169,7 @@ DEFAULT_CONTROL_TIMEOUT = 60.0
 DEFAULT_START_METHOD = "spawn"
 
 #: Default data-plane transport; falls back to "pipe" when shared
-#: memory, batching or a compiled program is unavailable.
+#: memory or batching is unavailable.
 DEFAULT_TRANSPORT = "shm"
 
 #: The transports a pool can be asked for.
@@ -1051,11 +1050,8 @@ class WorkerPool:
                 raise WorkerError(
                     f"publisher build failed:\n{traceback.format_exc()}"
                 ) from None
-            if publisher.serving_program() is not None:
-                self._publisher = publisher
-                self._transport = "shm"
-            # else: no compiled plane to publish (e.g. compiled=False);
-            # the pickled-pipe transport serves instead.
+            self._publisher = publisher
+            self._transport = "shm"
         context = multiprocessing.get_context(start_method)
         self._handles: List[_WorkerHandle] = []
         ready: List[Future] = []
@@ -2224,9 +2220,7 @@ class WorkerPool:
                 publisher.rebuild()
                 rebuilt = True
             program = publisher.serving_program()
-            entries, clean = (
-                program.take_patch_delta() if program is not None else ([], False)
-            )
+            entries, clean = program.take_patch_delta()
             if (
                 not force_full
                 and not rebuilt

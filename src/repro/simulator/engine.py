@@ -126,10 +126,7 @@ def flat_engine(representation) -> Optional[LookupEngine]:
         # fresh compile after churn (patch-log drain, bloat recompile),
         # and the engine must follow the live generation, not a stale
         # bound method.
-        program = flat_program(representation)
-        if program is None:
-            raise ValueError(f"representation {name!r} lost its compiled plane")
-        return program.lookup_trace(address)
+        return flat_program(representation).lookup_trace(address)
 
     return LookupEngine(trace, FLAT_STEP_CYCLES, f"{name}+flat")
 

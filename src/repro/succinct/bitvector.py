@@ -190,8 +190,8 @@ class BitVector:
 
         Reported separately from :meth:`size_in_bits`: the samples are a
         host-side acceleration cache, not part of the paper's succinct
-        size model (exactly like the batch dispatch arrays of
-        :mod:`repro.pipeline.batch`)."""
+        size model (exactly like the compiled flat programs of
+        :mod:`repro.pipeline.flat`)."""
         built = (self._select1_samples or []), (self._select0_samples or [])
         return 64 * sum(len(samples) for samples in built)
 

@@ -154,7 +154,7 @@ class TestSelectDirectory:
 
     def test_size_model_unchanged_by_directory(self):
         # The samples are an acceleration cache, not part of the paper's
-        # succinct size model (like the batch dispatch arrays).
+        # succinct size model (like the compiled flat programs).
         bits = [1, 0] * 600
         cold = BitVector(bits).size_in_bits()
         warm = BitVector(bits)

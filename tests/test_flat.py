@@ -2,11 +2,11 @@
 
 The centerpiece is compiled-plane parity: every registered
 representation, lowered to a :class:`FlatProgram`, must answer exactly
-like its own scalar lookup — through the vectorized batch path, the
-pure-Python fallback loop, and the sorted shared-prefix walk — on
-random FIBs, on exhaustively checked small-width FIBs (hypothesis), and
-after churn (patch-log replay, bloat-triggered recompiles, and serve
-epoch swaps).
+like its own scalar lookup — through the vectorized batch path and the
+pure-Python walk — on random FIBs, on exhaustively checked small-width
+FIBs (hypothesis), after churn (patch-log replay, bloat-triggered
+recompiles, and serve epoch swaps), and at whatever sub-stride the
+total compiler settles on under a cell budget.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from repro.core.trie import BinaryTrie
 from repro.datasets import random_update_sequence, uniform_trace
 from repro.datasets.updates import UpdateOp
 from repro.pipeline.flat import (
+    DEFAULT_SUB_STRIDE,
     FlatCompileError,
     FlatProgram,
     compile_binary,
@@ -82,10 +83,6 @@ class TestProgramStructure:
         empty = compile_binary(BinaryTrie(32).root, 32, 8)
         assert empty.lookup_batch([0, 123]) == [None, None]
 
-    def test_cell_ceiling_raises_compile_error(self, medium_fib):
-        with pytest.raises(FlatCompileError, match="cells"):
-            compile_binary(BinaryTrie.from_fib(medium_fib).root, 32, 8, max_cells=8)
-
     def test_bad_strides_rejected(self):
         with pytest.raises(FlatCompileError):
             FlatProgram(32, 0)
@@ -105,11 +102,107 @@ class TestProgramStructure:
         assert dag_cells < trie_cells
 
 
+def _unpack(payload: bytes):
+    labels = array("q")
+    labels.frombytes(payload)
+    return [label or None for label in labels]
+
+
+class TestTotalCompiler:
+    """A compile past its cell budget drops to a smaller sub-stride
+    instead of refusing; sub-stride 1 has no budget at all."""
+
+    @pytest.fixture
+    def deep_fib(self, rng):
+        # Deep routes: a sub-stride-8 compile expands to ~35K cells,
+        # sub-stride 4 to ~6K, sub-stride 2 to ~3.5K.
+        return random_fib(rng, 300, 4, max_length=24)
+
+    def _assert_parity(self, program, fib, rng):
+        probes = [0, (1 << 32) - 1] + [rng.getrandbits(32) for _ in range(800)]
+        want = [fib.lookup(address) for address in probes]
+        for vectorize in (True, False):
+            program.vectorize = vectorize
+            assert program.lookup_batch(probes) == want, vectorize
+            assert _unpack(program.lookup_batch_packed(probes)) == want, vectorize
+        program.vectorize = True
+
+    def test_over_budget_compile_drops_sub_stride(self, deep_fib, rng):
+        root = BinaryTrie.from_fib(deep_fib).root
+        assert compile_binary(root, 32, 8).sub_stride == DEFAULT_SUB_STRIDE
+        program = compile_binary(root, 32, 8, max_cells=10_000)
+        assert program.sub_stride == 4
+        assert len(program.cell_ptr) <= 10_000
+        assert not program.bloated
+        assert "sub_stride=4" in repr(program)
+        self._assert_parity(program, deep_fib, rng)
+
+    def test_tiny_budget_compiles_at_sub_stride_one(self, deep_fib, rng):
+        root = BinaryTrie.from_fib(deep_fib).root
+        program = compile_binary(root, 32, 8, max_cells=500)
+        assert program.sub_stride == 1
+        assert program.max_cells is None  # sub-stride 1 is unbudgeted
+        assert len(program.cell_ptr) > 500
+        assert not program.bloated
+        self._assert_parity(program, deep_fib, rng)
+
+    def test_patch_churn_past_budget_recompiles(self, rng, monkeypatch):
+        from functools import partial
+
+        from repro.pipeline import adapters as adapters_module
+
+        fib = random_fib(rng, 150, 4, max_length=24)
+        cells = len(compile_binary(BinaryTrie.from_fib(fib).root, 32, 8).cell_ptr)
+        budget = cells + 64  # the first compile fits at sub-stride 8
+        monkeypatch.setattr(
+            adapters_module, "compile_binary",
+            partial(compile_binary, max_cells=budget),
+        )
+        representation = pipeline.build("binary-trie", fib)
+        probes = [rng.getrandbits(32) for _ in range(400)]
+        representation.lookup_batch(probes)
+        first = representation._flat
+        assert first.sub_stride == 8
+        mirror = fib.copy()
+        for round_number in range(20):
+            # Deep routes in fresh regions grow the image a block chain
+            # at a time, past the budget.
+            op = UpdateOp(rng.getrandbits(24), 24, 1 + round_number % 4)
+            mirror.update(op.prefix, op.length, op.label)
+            representation.apply_update(op)
+            probes.append(op.prefix << 8)
+            assert representation.lookup_batch(probes) == [
+                mirror.lookup(address) for address in probes
+            ]
+            program = representation._flat
+            assert len(program.cell_ptr) <= budget or program.sub_stride == 1
+        assert program is not first
+        assert program.sub_stride < 8
+
+    def test_multibit_compile_needs_no_budget(self, medium_fib, rng):
+        from repro.core.multibit import MultibitDag
+        from repro.pipeline.flat import compile_multibit
+
+        program = compile_multibit(MultibitDag(medium_fib, stride=8))
+        assert program.max_cells is None
+        self._assert_parity(program, medium_fib, rng)
+
+    def test_multibit_stride_validated_up_front(self, paper_fib, monkeypatch):
+        from repro.pipeline import adapters as adapters_module
+
+        def never(*args, **kwargs):
+            raise AssertionError("backend built before the stride check")
+
+        monkeypatch.setattr(adapters_module, "MultibitDag", never)
+        with pytest.raises(ValueError, match="stride 32"):
+            pipeline.build("multibit-dag", paper_fib, stride=32)
+
+
 class TestProgramParity:
     def _probes(self, rng, width=32, count=600):
         probes = [0, (1 << width) - 1, 1 << (width - 1)]
         probes += [rng.getrandbits(width) for _ in range(count)]
-        probes += probes[:50]  # duplicates for the shared walk
+        probes += probes[:50]  # duplicates
         return probes
 
     @pytest.mark.parametrize("name", ALL_NAMES)
@@ -121,7 +214,6 @@ class TestProgramParity:
         probes = self._probes(rng)
         want = [representation.lookup(address) for address in probes]
         assert program.lookup_batch(probes) == want
-        assert program.lookup_batch_shared(probes) == want
         assert [program.lookup(address) for address in probes] == want
 
     def test_vector_and_python_paths_agree(self, rng):
@@ -129,11 +221,9 @@ class TestProgramParity:
         program = compile_binary(BinaryTrie.from_fib(fib).root, 32, 8)
         probes = self._probes(rng)
         vectorized = program.lookup_batch(probes)
-        shared_vec = program.lookup_batch_shared(probes)
         program.vectorize = False
         assert not program.vectorized
         assert program.lookup_batch(probes) == vectorized
-        assert program.lookup_batch_shared(probes) == shared_vec
 
     @given(fib_strategy)
     @settings(max_examples=25, deadline=None)
@@ -144,7 +234,6 @@ class TestProgramParity:
         program = compile_binary(trie.root, 8, 8)
         full = list(range(256))
         assert program.lookup_batch(full) == reference
-        assert program.lookup_batch_shared(full) == reference
         program.vectorize = False
         assert program.lookup_batch(full) == reference
 
@@ -176,8 +265,6 @@ class TestProgramParity:
         for bad in (-1, 1 << 32):
             with pytest.raises(ValueError, match="outside"):
                 program.lookup_batch([0, bad])
-            with pytest.raises(ValueError, match="outside"):
-                program.lookup_batch_shared([0, bad])
             with pytest.raises(ValueError, match="outside"):
                 program.lookup(bad)
         program.vectorize = False
@@ -211,7 +298,6 @@ class TestPatching:
             representation.apply_update(op)
         want = [mirror.lookup(address) for address in probes]
         assert representation.lookup_batch(probes) == want, name
-        assert representation.lookup_batch_shared(probes) == want, name
 
     def test_patch_matches_full_recompile(self, rng):
         fib = random_fib(rng, 150, 4, max_length=14)
@@ -268,18 +354,9 @@ class TestAdapterPlane:
             assert pipeline.supports_flat(representation)
             assert pipeline.flat_program(representation) is not None
 
-    def test_compiled_option_disables_the_plane(self, rng):
-        fib = random_fib(rng, 100, 3, max_length=12)
-        for name in ("prefix-dag", "tabular"):
-            representation = pipeline.build(name, fib, compiled=False)
-            probes = [rng.getrandbits(32) for _ in range(200)]
-            assert pipeline.flat_program(representation) is None
-            assert representation.lookup_batch(probes) == [
-                representation.lookup(address) for address in probes
-            ]
-            assert representation._flat is None  # dispatch plane served
-
-    def test_compile_refusal_falls_back_to_dispatch(self, rng, monkeypatch):
+    def test_compile_error_propagates(self, rng, monkeypatch):
+        # There is no second batch engine: a compile error reaches the
+        # caller instead of a fallback serving the batch.
         from repro.pipeline import adapters as adapters_module
 
         def refuse(*args, **kwargs):
@@ -289,20 +366,11 @@ class TestAdapterPlane:
         fib = random_fib(rng, 100, 3, max_length=12)
         representation = pipeline.build("binary-trie", fib)
         probes = [rng.getrandbits(32) for _ in range(200)]
-        assert representation.lookup_batch(probes) == [
-            representation.lookup(address) for address in probes
-        ]
-        assert representation._flat is None
-        assert representation._flat_failed
-        assert representation._dispatch is not None
-
-    def test_shared_walk_handles_duplicates(self, rng):
-        fib = random_fib(rng, 120, 4, max_length=12)
-        representation = pipeline.build("prefix-dag", fib)
-        hot = [rng.getrandbits(32) for _ in range(20)]
-        probes = [hot[rng.randrange(len(hot))] for _ in range(500)]
-        assert representation.lookup_batch_shared(probes) == \
+        with pytest.raises(FlatCompileError, match="forced refusal"):
             representation.lookup_batch(probes)
+        with pytest.raises(FlatCompileError, match="forced refusal"):
+            pipeline.flat_program(representation)
+        assert representation._flat is None
 
     def test_simulator_picks_up_compiled_plane(self, rng, medium_fib):
         # Tabular has no native lookup_trace: engine_for must fall back
@@ -319,9 +387,12 @@ class TestAdapterPlane:
         assert report.steps >= len(probes)
         # Explicit constructor works for natively traceable reps too.
         assert flat_engine(pipeline.build("lc-trie", medium_fib)) is not None
-        # ...and the refusal path still raises for uncompiled planes.
+        # ...and a representation with neither a trace nor a compiled
+        # plane is refused.
+        from types import SimpleNamespace
+
         with pytest.raises(ValueError, match="cost model"):
-            engine_for(pipeline.build("tabular", medium_fib, compiled=False))
+            engine_for(SimpleNamespace(name="tabular"))
 
 
 class TestServeCompiledGenerations:
@@ -356,6 +427,8 @@ class TestServeCompiledGenerations:
 
 class TestWrappedAdapters:
     def test_lctrie_wrapping_serves_both_planes(self, rng):
+        # The variant's own scalar lookup and the compiled plane derived
+        # from the FIB must agree.
         from repro.baselines.lctrie import LCTrie
         from repro.pipeline.adapters import LCTrieAdapter
 
@@ -365,11 +438,7 @@ class TestWrappedAdapters:
         probes = [rng.getrandbits(32) for _ in range(300)]
         want = [adapter.lookup(address) for address in probes]
         assert adapter.lookup_batch(probes) == want
-        assert adapter.lookup_batch_dispatch(probes) == want
         assert pipeline.flat_program(adapter) is not None
-        uncompiled = LCTrieAdapter.wrapping(fib, variant, compiled=False)
-        assert pipeline.flat_program(uncompiled) is None
-        assert uncompiled.lookup_batch(probes) == want
 
 
 class TestBenchFloorGate:
@@ -382,16 +451,9 @@ class TestBenchFloorGate:
         ]) == 0
         assert "bench floor OK" in capsys.readouterr().err
 
-    def test_floor_rejects_no_compiled(self, capsys):
-        from repro.cli import main
-
-        assert main([
-            "bench", "--scale", "0.002", "--packets", "400", "--repeat", "1",
-            "--no-compiled", "--floor", "1.5",
-        ]) == 2
-
     def test_floor_fails_when_plane_missing(self, capsys, monkeypatch):
-        # A compile regression must break the gate, not vacuously pass.
+        # A compile error must break the gate (exit 1), not be served
+        # by another engine or vacuously pass.
         from repro.cli import main
         from repro.pipeline import adapters as adapters_module
 
@@ -403,7 +465,9 @@ class TestBenchFloorGate:
             "bench", "--scale", "0.002", "--packets", "400", "--repeat", "1",
             "--representations", "prefix-dag", "--floor", "1.0",
         ]) == 1
-        assert "BENCH FLOOR BROKEN" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "BENCH FLOOR BROKEN" in err
+        assert "forced refusal" in err
 
 
 class TestTraceHardening:

@@ -119,7 +119,7 @@ TestPatchDifferential = PatchDifferential.TestCase
 
 
 class TestAdapterFuzz:
-    """Dispatch-plane parity under fuzzed churn, per updatable adapter.
+    """Compiled-plane parity under fuzzed churn, per updatable adapter.
 
     Drives the real serve path — ``apply_update`` into the adapter's
     patch log, drained by ``flat_plane`` on the next batch — including
@@ -149,10 +149,9 @@ class TestAdapterFuzz:
             want = [mirror.lookup(address) for address in probes]
             assert representation.lookup_batch(probes) == want
         program = pipeline.flat_program(representation)
-        if program is not None:
-            assert unpack(program.lookup_batch_packed(probes)) == [
-                mirror.lookup(address) for address in probes
-            ]
+        assert unpack(program.lookup_batch_packed(probes)) == [
+            mirror.lookup(address) for address in probes
+        ]
 
 
 def overlay_program():

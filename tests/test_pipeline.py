@@ -1,10 +1,10 @@
-"""Tests for repro.pipeline: registry, adapters, batch engine, parity.
+"""Tests for repro.pipeline: registry, adapters, batch lookups, parity.
 
 The centerpiece is the cross-representation parity suite: every
 registered representation, built from the same FIB, must return exactly
 the labels of the tabular oracle — through scalar ``lookup`` and
-through the batched stride-dispatch path — including misses when no
-default route exists.
+through the compiled batch path — including misses when no default
+route exists.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from repro.datasets import (
     uniform_trace,
 )
 from repro.datasets.updates import UpdateOp
-from repro.pipeline.batch import DEEP, build_label_dispatch, build_node_dispatch
+from repro.pipeline.flat import TERMINAL, compile_binary
 from repro.core.trie import BinaryTrie
 
 ALL_NAMES = [
@@ -105,50 +105,35 @@ class TestRegistry:
 
 
 class TestBatchDispatch:
-    def test_node_dispatch_matches_trie(self, rng):
-        fib = random_fib(rng, 200, 4, max_length=12)
-        trie = BinaryTrie.from_fib(fib)
-        dispatch = build_node_dispatch(trie.root, trie.width, 8)
-        for address in [0, (1 << 32) - 1] + [rng.getrandbits(32) for _ in range(300)]:
-            slot = address >> dispatch.shift
-            if dispatch.nodes[slot] is None:
-                assert dispatch.labels[slot] == trie.lookup(address)
-
     def test_stride_clamped_to_width(self):
         narrow = Fib(8)
-        narrow.add(0, 0, 1)
-        dispatch = build_node_dispatch(BinaryTrie.from_fib(narrow).root, 8, 16)
-        assert dispatch.stride == 8  # clamped to the address width
-
-    def test_label_dispatch_marks_deep_regions(self, paper_fib):
-        trie = BinaryTrie.from_fib(paper_fib)
-        dispatch = build_label_dispatch(trie, 8)
-        # The paper example has routes down to /3 only: after depth 3
-        # nothing branches, so no slot needs a deep traversal.
-        assert DEEP not in dispatch.labels
+        narrow.add(0xAB, 8, 1)
+        program = compile_binary(BinaryTrie.from_fib(narrow).root, 8, 16)
+        assert program.root_stride == 8  # clamped to the address width
 
     def test_leaf_at_stride_stays_on_fast_path(self):
-        # A /8 route under a stride-8 dispatch ends in a trie leaf at
-        # exactly the dispatch depth: the region is uniform and must
-        # answer from the array, not fall back to the scalar lookup.
+        # A /8 route under a stride-8 root table ends in a trie leaf at
+        # exactly the root depth: the slot is terminal and answers from
+        # the root arrays, with no child block to walk.
         fib = Fib(32)
         fib.add(0x0A, 8, 3)            # 10.0.0.0/8
         fib.add(0x0B0000, 24, 4)       # 11.0.0.x/24 (genuinely deep)
-        dispatch = build_label_dispatch(BinaryTrie.from_fib(fib), 8)
-        assert dispatch.labels[0x0A] == 3
-        assert dispatch.labels[0x0B] is DEEP
+        program = compile_binary(BinaryTrie.from_fib(fib).root, 32, 8)
+        assert program.root_ptr[0x0A] == TERMINAL
+        assert program.root_val[0x0A] == 3
+        assert program.root_ptr[0x0B] != TERMINAL
 
     def test_out_of_range_stride_rejected(self, paper_fib):
         for bad in (0, -3, pipeline.MAX_STRIDE + 1, 32):
             with pytest.raises(ValueError, match="stride"):
-                build_node_dispatch(BinaryTrie(4).root, 4, bad)
+                pipeline.check_stride(bad)
             with pytest.raises(ValueError, match="stride"):
                 pipeline.build("prefix-dag", paper_fib, dispatch_stride=bad)
 
     def test_batch_immune_to_later_fib_mutation(self, rng):
-        # The fallback dispatch snapshots the FIB at build time: adding a
-        # route to the caller's FIB afterwards must not desynchronize
-        # lookup_batch from the frozen backend.
+        # The control-trie adapters snapshot the FIB at build time:
+        # adding a route to the caller's FIB afterwards must not
+        # desynchronize lookup_batch from the frozen backend.
         fib = random_fib(rng, 80, 3, max_length=10)
         patricia = pipeline.build("patricia", fib)
         fib.add(0xAB, 8, 3)  # mutate the live FIB after the build
@@ -158,7 +143,7 @@ class TestBatchDispatch:
     def test_batch_rejects_out_of_range_addresses(self, paper_fib):
         # Scalar Fib.lookup raises on bad addresses; the batch paths must
         # too — Python's negative indexing would otherwise wrap a
-        # dispatch slot and fabricate a route.
+        # root slot and fabricate a route.
         for name in pipeline.names():
             representation = pipeline.build(name, paper_fib)
             for bad in (-1, 1 << paper_fib.width):
@@ -312,82 +297,28 @@ class TestParity:
             del registry_module._REGISTRY["zz-short"]
 
 
-class TestDispatchPatching:
-    """In-place dispatch repair must match a from-scratch rebuild."""
-
-    def test_patched_node_dispatch_matches_rebuild(self, rng):
-        from repro.pipeline.batch import patch_node_dispatch
-
-        fib = random_fib(rng, 150, 4, max_length=14)
-        trie = BinaryTrie.from_fib(fib)
-        dispatch = build_node_dispatch(trie.root, trie.width, 8)
-        mirror = fib.copy()
-        for op in random_update_sequence(mirror, 40, seed=31, withdraw_fraction=0.3):
-            try:
-                mirror.update(op.prefix, op.length, op.label)
-            except KeyError:
-                continue
-            if op.label is None:
-                trie.delete(op.prefix, op.length)
-            else:
-                trie.insert(op.prefix, op.length, op.label)
-            patch_node_dispatch(dispatch, trie.root, op.prefix, op.length)
-        fresh = build_node_dispatch(trie.root, trie.width, 8)
-        assert dispatch.labels == fresh.labels
-        assert dispatch.nodes == fresh.nodes  # same objects, slot for slot
-
-    def test_patched_label_dispatch_stays_correct(self, rng):
-        from repro.pipeline.batch import batch_resolve, patch_label_dispatch
-
-        fib = random_fib(rng, 120, 4, max_length=14)
-        dispatch = build_label_dispatch(BinaryTrie.from_fib(fib), 8)
-        for op in random_update_sequence(fib.copy(), 40, seed=37, withdraw_fraction=0.3):
-            try:
-                fib.update(op.prefix, op.length, op.label)
-            except KeyError:
-                continue
-            patch_label_dispatch(dispatch, fib.lookup, op.prefix, op.length)
-        probes = [rng.getrandbits(32) for _ in range(500)]
-        assert batch_resolve(dispatch, fib.lookup, probes) == [
-            fib.lookup(address) for address in probes
-        ]
-
-    def test_deep_update_marks_single_slot(self, paper_fib):
-        from repro.pipeline.batch import DEEP as deep, patch_label_dispatch
-
-        fib = Fib(32)
-        fib.add(0x0A, 8, 3)  # 10.0.0.0/8: slot 0x0A uniform under stride 8
-        dispatch = build_label_dispatch(BinaryTrie.from_fib(fib), 8)
-        assert dispatch.labels[0x0A] == 3
-        fib.add(0x0A0000, 24, 4)  # deep route inside the slot
-        patch_label_dispatch(dispatch, fib.lookup, 0x0A0000, 24)
-        assert dispatch.labels[0x0A] is deep
-        assert dispatch.labels[0x0B] is None  # neighbouring slot untouched
-
-
 class TestBatchEdgeCases:
-    """Degenerate batches must skip the stride-dispatch build."""
+    """Degenerate batches must stay cheap: no compile for an empty
+    batch, a two-slot root table for a degenerate FIB."""
 
-    DISPATCH_ADAPTERS = [
+    ADAPTERS = [
         "binary-trie", "lc-trie", "ortc", "patricia",
         "prefix-dag", "shape-graph", "tabular", "xbw",
     ]
 
     def test_empty_batch_builds_no_lookup_plane(self, paper_fib):
-        for name in self.DISPATCH_ADAPTERS:
+        for name in self.ADAPTERS:
             representation = pipeline.build(name, paper_fib)
             assert representation.lookup_batch([]) == []
-            assert representation._dispatch is None, name
             assert representation._flat is None, name  # not even compiled
 
     def test_default_route_only_fib_compiles_tiny(self):
         fib = Fib(32)
         fib.add(0, 0, 7)  # a lone default route
         probes = [0, 1, (1 << 32) - 1, 0xDEADBEEF]
-        for name in self.DISPATCH_ADAPTERS:
+        for name in self.ADAPTERS:
             representation = pipeline.build(name, fib)
             assert representation.lookup_batch(probes) == [7] * len(probes), name
-            assert representation._dispatch is None, name
             # The compiled plane clamps its root table to the structure:
             # a degenerate FIB costs 2 slots, not 2^stride.
             assert len(representation._flat.root_ptr) == 2, name
@@ -397,7 +328,6 @@ class TestBatchEdgeCases:
         for name in ("tabular", "binary-trie", "prefix-dag"):
             representation = pipeline.build(name, fib)
             assert representation.lookup_batch([0, 123]) == [None, None], name
-            assert representation._dispatch is None, name
 
     def test_trivial_path_still_range_checks(self):
         fib = Fib(32)
@@ -414,7 +344,7 @@ class TestUpdates:
         dag = pipeline.build("prefix-dag", fib, barrier=8)
         mirror = fib.copy()
         probes = [rng.getrandbits(32) for _ in range(300)]
-        dag.lookup_batch(probes)  # force the dispatch to exist
+        dag.lookup_batch(probes)  # compile before the updates
         for op in random_update_sequence(mirror, 40, seed=11):
             dag.apply_update(op)
             if op.label is None:
@@ -444,7 +374,7 @@ class TestUpdates:
         representation = pipeline.build(name, fib)
         mirror = fib.copy()
         probes = [rng.getrandbits(32) for _ in range(300)]
-        representation.lookup_batch(probes)  # force the dispatch to exist
+        representation.lookup_batch(probes)  # compile before the updates
         for op in random_update_sequence(mirror, 40, seed=23, withdraw_fraction=0.2):
             try:
                 mirror.update(op.prefix, op.length, op.label)
@@ -491,28 +421,14 @@ class TestBench:
             assert row.scalar_seconds > 0 and row.batch_seconds > 0
             assert row.scalar_mlps > 0 and row.batch_mlps > 0
             assert row.speedup > 0
-            # All three planes timed, the compiled one serving.
+            # Both paths timed, the compiled one serving.
             assert row.compiled
-            assert row.dispatch_seconds > 0 and row.dispatch_mlps > 0
-            assert row.compiled_speedup > 0
             assert row.program_kb > 0
+            assert row.sub_stride == pipeline.DEFAULT_SUB_STRIDE
             payload = row.to_dict()
-            for key in ("dispatch_seconds", "compiled", "program_kb",
-                        "dispatch_mlps", "compiled_speedup"):
+            for key in ("compiled", "program_kb", "sub_stride"):
                 assert key in payload
-
-    def test_bench_rows_degrade_without_compilation(self, paper_fib):
-        (row,) = pipeline.bench_all(
-            paper_fib,
-            uniform_trace(100, seed=5),
-            only=["prefix-dag"],
-            overrides={"prefix-dag": {"compiled": False}},
-            repeat=1,
-        )
-        assert not row.compiled
-        assert row.compiled_speedup == 0.0
-        assert row.program_kb == 0.0
-        assert row.batch_seconds > 0  # the dispatch plane served
+            assert not any(key.startswith("dispatch") for key in payload)
 
     def test_bench_requires_a_run(self, paper_fib):
         representation = pipeline.build("tabular", paper_fib)

@@ -18,14 +18,13 @@ sys.modules.setdefault("check_trajectory", check_trajectory)
 _SPEC.loader.exec_module(check_trajectory)
 
 
-def _pipeline(speedup, compiled_speedup, mlps=10.0):
+def _pipeline(speedup, mlps=10.0):
     return {
         "rows": [
             {
                 "name": "prefix-dag",
                 "compiled": True,
                 "speedup": speedup,
-                "compiled_speedup": compiled_speedup,
                 "batch_mlps": mlps,
             }
         ]
@@ -41,7 +40,7 @@ def _cluster(four_shard):
 
 def _workers(four_worker, gated=True, shm_compiled=2.5):
     return {
-        "speedups": {"4-prefix": four_worker},
+        "compiled_curve": {"4-shm": four_worker},
         "gated": gated,
         "compiled_speedup": {"shm": shm_compiled, "pipe": 0.9},
         "model_agreement": {"shm": 0.8, "pipe": 0.5},
@@ -67,14 +66,14 @@ def _write(directory, name, payload):
 
 class TestCompare:
     def test_no_regression_passes(self, tmp_path):
-        _write(tmp_path / "base", "BENCH_pipeline.json", _pipeline(80.0, 4.0))
-        _write(tmp_path / "new", "BENCH_pipeline.json", _pipeline(75.0, 3.9))
+        _write(tmp_path / "base", "BENCH_pipeline.json", _pipeline(80.0))
+        _write(tmp_path / "new", "BENCH_pipeline.json", _pipeline(75.0))
         failures, _ = check_trajectory.check(tmp_path / "base", tmp_path / "new")
         assert failures == []
 
     def test_ratio_regression_fails(self, tmp_path):
-        _write(tmp_path / "base", "BENCH_pipeline.json", _pipeline(80.0, 4.0))
-        _write(tmp_path / "new", "BENCH_pipeline.json", _pipeline(40.0, 4.0))
+        _write(tmp_path / "base", "BENCH_pipeline.json", _pipeline(80.0))
+        _write(tmp_path / "new", "BENCH_pipeline.json", _pipeline(40.0))
         failures, _ = check_trajectory.check(tmp_path / "base", tmp_path / "new")
         assert len(failures) == 1
         assert "speedup" in failures[0]
@@ -94,8 +93,8 @@ class TestCompare:
         assert "4-prefix" in failures[0]
 
     def test_absolute_mlps_only_warns(self, tmp_path):
-        _write(tmp_path / "base", "BENCH_pipeline.json", _pipeline(80.0, 4.0, mlps=20.0))
-        _write(tmp_path / "new", "BENCH_pipeline.json", _pipeline(80.0, 4.0, mlps=2.0))
+        _write(tmp_path / "base", "BENCH_pipeline.json", _pipeline(80.0, mlps=20.0))
+        _write(tmp_path / "new", "BENCH_pipeline.json", _pipeline(80.0, mlps=2.0))
         failures, warnings = check_trajectory.check(
             tmp_path / "base", tmp_path / "new"
         )
@@ -111,7 +110,7 @@ class TestCompare:
             tmp_path / "base", tmp_path / "new"
         )
         assert failures == []
-        assert any("4-prefix" in warning for warning in warnings)
+        assert any("4-shm" in warning for warning in warnings)
 
     def test_worker_speedups_fail_when_both_gated(self, tmp_path):
         _write(tmp_path / "base", "BENCH_workers.json", _workers(3.0, gated=True))
@@ -157,6 +156,20 @@ class TestCompare:
         assert failures == []
         assert any("model_agreement.shm" in warning for warning in warnings)
 
+    def test_dispatch_walk_curve_never_compared(self, tmp_path):
+        # Baselines whose worker curve ran the retired dispatch walk
+        # recorded it under `speedups`: the compiled curve must neither
+        # gate against it nor be reported missing because of it.
+        base = _workers(3.0, gated=True)
+        base["speedups"] = {"4-prefix": 30.0}
+        _write(tmp_path / "base", "BENCH_workers.json", base)
+        _write(tmp_path / "new", "BENCH_workers.json", _workers(2.9, gated=True))
+        failures, warnings = check_trajectory.check(
+            tmp_path / "base", tmp_path / "new"
+        )
+        assert failures == []
+        assert not any("speedup.4-prefix" in warning for warning in warnings)
+
     def test_legacy_float_compiled_speedup_still_compares(self, tmp_path):
         # A pre-shm float baseline against a per-transport fresh run:
         # the keys no longer line up, so nothing gates — the reseeded
@@ -169,7 +182,7 @@ class TestCompare:
         assert failures == []
 
     def test_missing_fresh_file_skips_unless_strict(self, tmp_path):
-        _write(tmp_path / "base", "BENCH_pipeline.json", _pipeline(80.0, 4.0))
+        _write(tmp_path / "base", "BENCH_pipeline.json", _pipeline(80.0))
         (tmp_path / "new").mkdir()
         failures, warnings = check_trajectory.check(
             tmp_path / "base", tmp_path / "new"
@@ -184,15 +197,15 @@ class TestCompare:
 
 class TestMain:
     def test_exit_codes(self, tmp_path, capsys):
-        _write(tmp_path / "base", "BENCH_pipeline.json", _pipeline(80.0, 4.0))
-        _write(tmp_path / "new", "BENCH_pipeline.json", _pipeline(80.0, 4.0))
+        _write(tmp_path / "base", "BENCH_pipeline.json", _pipeline(80.0))
+        _write(tmp_path / "new", "BENCH_pipeline.json", _pipeline(80.0))
         argv = [
             "--baseline-dir", str(tmp_path / "base"),
             "--fresh-dir", str(tmp_path / "new"),
         ]
         assert check_trajectory.main(argv) == 0
         assert "trajectory gate OK" in capsys.readouterr().out
-        _write(tmp_path / "new", "BENCH_pipeline.json", _pipeline(10.0, 4.0))
+        _write(tmp_path / "new", "BENCH_pipeline.json", _pipeline(10.0))
         assert check_trajectory.main(argv) == 1
         captured = capsys.readouterr()
         assert "REGRESSION" in captured.err
@@ -217,9 +230,9 @@ class TestMain:
 
 class TestConfigGuard:
     def test_config_mismatch_skips_with_warning(self, tmp_path):
-        base = _pipeline(80.0, 4.0)
+        base = _pipeline(80.0)
         base["scale"] = 0.02
-        fresh = _pipeline(10.0, 1.0)  # would fail hard if compared
+        fresh = _pipeline(10.0)  # would fail hard if compared
         fresh["scale"] = 0.01
         _write(tmp_path / "base", "BENCH_pipeline.json", base)
         _write(tmp_path / "new", "BENCH_pipeline.json", fresh)
@@ -230,8 +243,8 @@ class TestConfigGuard:
         assert any("config changed" in warning for warning in warnings)
 
     def test_matching_config_compares(self, tmp_path):
-        base = _pipeline(80.0, 4.0)
-        fresh = _pipeline(10.0, 4.0)
+        base = _pipeline(80.0)
+        fresh = _pipeline(10.0)
         for payload in (base, fresh):
             payload.update(scale=0.01, packets=5000, profile="taz", stride=16)
         _write(tmp_path / "base", "BENCH_pipeline.json", base)
@@ -244,14 +257,14 @@ class TestRatioCap:
     def test_huge_ratio_wobble_passes(self, tmp_path):
         # 2666x -> 1500x is machine noise at that altitude, not a
         # regression: both clamp to the cap.
-        _write(tmp_path / "base", "BENCH_pipeline.json", _pipeline(2666.0, 4.0))
-        _write(tmp_path / "new", "BENCH_pipeline.json", _pipeline(1500.0, 4.0))
+        _write(tmp_path / "base", "BENCH_pipeline.json", _pipeline(2666.0))
+        _write(tmp_path / "new", "BENCH_pipeline.json", _pipeline(1500.0))
         failures, _ = check_trajectory.check(tmp_path / "base", tmp_path / "new")
         assert failures == []
 
     def test_collapse_below_cap_still_fails(self, tmp_path):
-        _write(tmp_path / "base", "BENCH_pipeline.json", _pipeline(2666.0, 4.0))
-        _write(tmp_path / "new", "BENCH_pipeline.json", _pipeline(20.0, 4.0))
+        _write(tmp_path / "base", "BENCH_pipeline.json", _pipeline(2666.0))
+        _write(tmp_path / "new", "BENCH_pipeline.json", _pipeline(20.0))
         failures, _ = check_trajectory.check(tmp_path / "base", tmp_path / "new")
         assert len(failures) == 1
 
@@ -305,7 +318,7 @@ class TestEmptyBaseline:
 
 class TestSeedMissing:
     def test_seed_missing_copies_fresh_to_baseline(self, tmp_path):
-        fresh = _pipeline(80.0, 4.0)
+        fresh = _pipeline(80.0)
         _write(tmp_path / "new", "BENCH_pipeline.json", fresh)
         failures, warnings = check_trajectory.check(
             tmp_path / "base", tmp_path / "new", seed_missing=True
@@ -315,7 +328,7 @@ class TestSeedMissing:
         seeded = json.loads((tmp_path / "base" / "BENCH_pipeline.json").read_text())
         assert seeded == fresh
         # Armed from the next run on: a later regression now fails.
-        _write(tmp_path / "new", "BENCH_pipeline.json", _pipeline(40.0, 4.0))
+        _write(tmp_path / "new", "BENCH_pipeline.json", _pipeline(40.0))
         failures, _ = check_trajectory.check(
             tmp_path / "base", tmp_path / "new", seed_missing=True
         )
@@ -335,7 +348,7 @@ class TestSeedMissing:
         assert seeded == fresh
 
     def test_without_flag_missing_baseline_only_skips(self, tmp_path):
-        _write(tmp_path / "new", "BENCH_pipeline.json", _pipeline(80.0, 4.0))
+        _write(tmp_path / "new", "BENCH_pipeline.json", _pipeline(80.0))
         failures, warnings = check_trajectory.check(
             tmp_path / "base", tmp_path / "new"
         )

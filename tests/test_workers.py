@@ -355,11 +355,12 @@ class TestPackedServing:
         decoded = server.lookup_batch(addresses)
         assert list(packed) == [label or 0 for label in decoded]
 
-    def test_packed_dispatch_fallback(self):
+    def test_packed_unbatched_fallback(self):
+        # An unbatched server has no compiled program: the packed path
+        # packs its scalar lookups instead.
         fib = build_fib(PAPER_EXAMPLE_ENTRIES)
         server = serve.FibServer(
-            "binary-trie", fib, options={"compiled": False},
-            measure_staleness=False,
+            "binary-trie", fib, batched=False, measure_staleness=False,
         )
         from array import array
 
