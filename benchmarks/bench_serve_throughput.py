@@ -24,11 +24,12 @@ import pytest
 from repro import serve
 from repro.analysis import assert_serve_parity, render_churn_rows
 from repro.analysis.report import banner
+from repro.core.prefixdag import PrefixDag
 from repro.core.trie import BinaryTrie
 from repro.datasets.profiles import PRIMARY_PROFILE
 from repro.datasets.traces import uniform_trace
 from repro.obs import NULL_REGISTRY, Registry
-from repro.pipeline.flat import compile_binary
+from repro.pipeline.flat import DEFAULT_STRIDE, FlatProgram, compile_binary
 
 LOOKUPS = 20_000
 UPDATES = 200
@@ -44,6 +45,10 @@ OBS_OVERHEAD_FAIL = 0.10
 #: operations issued must stay under the naive per-slot walk of the
 #: edit's root region by at least this factor.
 PATCH_BOUNDED_RATIO_FLOOR = 2.0
+#: Bounded-cost bar for a deep (/24) edit: cells appended by the
+#: copy-on-write block-chain patch must stay under a whole-slot re-emit
+#: (the edited root slot's subtree cells) by at least this factor.
+DEEP_PATCH_RATIO_FLOOR = 4.0
 BENCH_SERVE_JSON = Path(__file__).resolve().parent.parent / "BENCH_serve.json"
 
 
@@ -196,6 +201,56 @@ def test_obs_overhead_gate(profile_fib, events, report_writer, scale):
     )
 
 
+def _deep_patch_cost(fib) -> dict:
+    """Cells appended by /24 label flips on a prefix-DAG program at the
+    default strides, against a whole-slot re-emit of the edited slot.
+
+    The flipped route is the first /24 of the root slot holding the
+    most /24s, so the slot's subtree is as large as the profile makes
+    it. Both sides are cell counts: the ratio is machine independent.
+    """
+    fib = fib.copy()
+    dag = PrefixDag(fib)
+    program = compile_binary(dag.root, fib.width, DEFAULT_STRIDE)
+    stride = program.root_stride
+    shift = fib.width - stride
+    by_slot: dict = {}
+    for route in fib:
+        if route.length == 24:
+            by_slot.setdefault(route.prefix >> (24 - stride), []).append(route.prefix)
+    slot = max(by_slot, key=lambda key: (len(by_slot[key]), -key))
+    prefix = min(by_slot[slot])
+    cells_appended = 0
+    for round_number in range(6):  # label flips: every round does work
+        label = 1 + (round_number & 1)
+        fib.update(prefix, 24, label)
+        dag.update(prefix, 24, label)
+        before = program.patch_cells_total
+        program.patch(prefix, 24, dag.root)
+        cells_appended = max(cells_appended, program.patch_cells_total - before)
+    rng = random.Random(37)
+    probes = [(slot << shift) | rng.getrandbits(shift) for _ in range(1000)]
+    assert program.lookup_batch(probes) == [
+        fib.lookup(address) for address in probes
+    ]
+    # What a whole-slot re-emit appends: the slot's subtree, emitted
+    # fresh into an empty program at the same strides.
+    node, best = dag.root, dag.root.label or 0
+    for depth in range(stride):
+        node = node.right if (slot >> (stride - depth - 1)) & 1 else node.left
+        if node.label is not None:
+            best = node.label
+    whole = FlatProgram(fib.width, stride, program.sub_stride, None)
+    whole.emit_block(node, best, shift, {}, {})
+    slot_cells = len(whole.cell_ptr)
+    return {
+        "deep_slot_cells": slot_cells,
+        "deep_cells_appended": cells_appended,
+        "deep_bounded_ratio": slot_cells / max(1, cells_appended),
+        "deep_floor": DEEP_PATCH_RATIO_FLOOR,
+    }
+
+
 def test_patch_cost_microbench(profile_fib, events, report_writer, scale):
     """Worst-case short-prefix patch cost on the compiled plane.
 
@@ -207,6 +262,11 @@ def test_patch_cost_microbench(profile_fib, events, report_writer, scale):
     block re-emit counts zero), so the region/ops ratio is machine
     independent and gated by the trajectory checker. Wall-clock seconds
     and mixed-workload events/sec ride along as warn-only visibility.
+
+    A deep leg flips a /24 on a prefix-DAG program at the default
+    strides: the copy-on-write block-chain patch must append at least
+    :data:`DEEP_PATCH_RATIO_FLOOR` times fewer cells than re-emitting
+    the edited slot's whole subtree (``deep_bounded_ratio``).
 
     Deliberately no ``benchmark`` fixture: CI's quick lane runs this
     file with ``-k patch_cost`` and without pytest-benchmark.
@@ -246,6 +306,7 @@ def test_patch_cost_microbench(profile_fib, events, report_writer, scale):
     ]
 
     bounded_ratio = region_slots / max(1, slots_touched)
+    deep = _deep_patch_cost(fib)
     report = _serve_once(fib, events, batched=True)
 
     text = banner(
@@ -256,6 +317,9 @@ def test_patch_cost_microbench(profile_fib, events, report_writer, scale):
         f"\nregion {region_slots:,} slots -> {slots_touched:,} write ops "
         f"({bounded_ratio:.1f}x under naive, {skipped:,} block re-emits "
         f"skipped) in {best_seconds * 1e3:.2f} ms"
+        f"\n/24 flip at stride {DEFAULT_STRIDE}: slot subtree "
+        f"{deep['deep_slot_cells']:,} cells -> {deep['deep_cells_appended']:,} "
+        f"appended ({deep['deep_bounded_ratio']:.1f}x under a whole-slot re-emit)"
         f"\nmixed-workload events/sec alongside: "
         f"{report.events_per_second:,.0f}"
     )
@@ -270,6 +334,7 @@ def test_patch_cost_microbench(profile_fib, events, report_writer, scale):
         "seconds": best_seconds,
         "events_per_second": report.events_per_second,
         "floor": PATCH_BOUNDED_RATIO_FLOOR,
+        **deep,
     }
     payload = {}
     if BENCH_SERVE_JSON.is_file():
@@ -286,6 +351,11 @@ def test_patch_cost_microbench(profile_fib, events, report_writer, scale):
         f"worst-case /2 patch issued {slots_touched:,} write ops over a "
         f"{region_slots:,}-slot region ({bounded_ratio:.2f}x, floor "
         f"{PATCH_BOUNDED_RATIO_FLOOR}x)"
+    )
+    assert deep["deep_bounded_ratio"] >= DEEP_PATCH_RATIO_FLOOR, (
+        f"/24 patch appended {deep['deep_cells_appended']:,} cells against "
+        f"a {deep['deep_slot_cells']:,}-cell slot subtree "
+        f"({deep['deep_bounded_ratio']:.2f}x, floor {DEEP_PATCH_RATIO_FLOOR}x)"
     )
 
 

@@ -97,7 +97,9 @@ def _serve_metrics(payload: dict) -> Iterator[Tuple[str, float, bool]]:
     ``patch_cost`` record's bounded ratio (naive region slots over
     write operations actually issued by the worst-case /2 patch) is a
     deterministic counter ratio — machine independent, higher is
-    better — so it gates; its wall-clock and events/sec ride warn-only.
+    better — so it gates; so does its deep leg's ``deep_bounded_ratio``
+    (a /24 edit's slot-subtree cells over the cells the copy-on-write
+    patch actually appended). Wall-clock and events/sec ride warn-only.
     """
     for row in payload.get("rows", ()):
         name = row.get("name", "?")
@@ -107,9 +109,10 @@ def _serve_metrics(payload: dict) -> Iterator[Tuple[str, float, bool]]:
                 yield f"{name}.{field}", value, False
     patch = payload.get("patch_cost")
     if isinstance(patch, dict):
-        ratio = patch.get("bounded_ratio")
-        if isinstance(ratio, (int, float)):
-            yield "patch_cost.bounded_ratio", ratio, True
+        for field in ("bounded_ratio", "deep_bounded_ratio"):
+            ratio = patch.get(field)
+            if isinstance(ratio, (int, float)):
+                yield f"patch_cost.{field}", ratio, True
         for field in ("slots_touched", "seconds", "events_per_second"):
             value = patch.get(field)
             if isinstance(value, (int, float)):

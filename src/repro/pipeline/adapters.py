@@ -21,10 +21,11 @@ paths:
 Updatable representations (tabular, binary trie, prefix DAG) keep their
 compiled program live under churn with a **patch log**: ``apply_update``
 records the edited span and the next batch replays the log through
-:meth:`~repro.pipeline.flat.FlatProgram.patch_many` (recompiling only
-the covered root slots); once patch garbage would exceed the original
-image, or the image outgrows its cell budget, the program is recompiled
-from scratch.
+:meth:`~repro.pipeline.flat.FlatProgram.patch_many` (a short edit
+rewrites its root region; a deep edit clones the block chain along its
+prefix, copy-on-write, and refills only its own cells); once patch
+garbage would exceed the original image, or the image outgrows its cell
+budget, the program is recompiled from scratch.
 
 The registry metadata (paper section, size model, option schema) lives
 on the ``@register`` decorations below, which is the table README.md

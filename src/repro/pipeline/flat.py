@@ -54,12 +54,12 @@ structure and appends the edited ``prefix/length`` span to a patch log
 — the program is *not* touched on the update path; (2) the next
 ``flat_plane()`` call — the serve engine issues one at the top of every
 batched lookup, on the update clock — replays the log through
-:meth:`FlatProgram.patch`, recompiling only the root slots the spans
-cover; (3) replaced child blocks are abandoned in place, and once that
-garbage would exceed the original image, or the image outgrows its cell
-budget (:attr:`FlatProgram.bloated`), the owning adapter recompiles
-from scratch; (4) on an epoch swap the serve engine rebuilds the
-representation and compiles a fresh program off the lookup path,
+:meth:`FlatProgram.patch`, rewriting only the cells under each edited
+prefix; (3) replaced cells and blocks are abandoned in place, and once
+that garbage would exceed the original image, or the image outgrows its
+cell budget (:attr:`FlatProgram.bloated`), the owning adapter
+recompiles from scratch; (4) on an epoch swap the serve engine rebuilds
+the representation and compiles a fresh program off the lookup path,
 resetting the log. Lookups therefore always run against a program
 equivalent to the live structure.
 
@@ -74,8 +74,9 @@ equivalent to the live structure.
 
 Programs support **bounded-cost in-place patching**
 (:meth:`FlatProgram.patch` / :meth:`~FlatProgram.patch_many`): a deep
-edit (longer than the root stride) re-emits exactly its one owning
-slot's block; a short-prefix edit descends only its root region,
+edit (longer than the root stride) clones the block chain along its
+prefix, copy-on-write, and refills only its own cell region in the
+block where it ends; a short-prefix edit descends only its root region,
 skipping slots whose subtree and inherited label are unchanged (the
 per-slot source cache), pruning slots owned by longer prefixes (for
 structures whose labels are the routes themselves — leaf-pushed DAGs
@@ -706,14 +707,25 @@ class FlatProgram:
         self.patch_many(((prefix, length),), root, leaf_pushed=leaf_pushed)
 
     def patch_many(self, spans, root, *, leaf_pushed: bool = True) -> int:
-        """Recompile the root slots covered by updated ``(prefix,
-        length)`` spans from the live binary structure under ``root``,
-        in place. Returns the number of slot-write operations.
+        """Rewrite the program state under updated ``(prefix, length)``
+        spans from the live binary structure under ``root``, in place.
+        Returns the number of root-slot write operations.
 
-        A route edit can only change answers under its prefix: one slot
-        when the prefix reaches past the root stride, else the aligned
-        ``2^(stride-length)`` region. The region path never walks its
-        slots one by one — it descends the live structure once:
+        A route edit can only change answers under its prefix.
+
+        **Deep edits** (longer than the root stride) patch along their
+        block chain, copy-on-write (:meth:`_patch_chain`): every block
+        on the prefix's path is cloned (one C-level slice copy of its
+        ``2^s`` cells) and its parent repointed, and in the block where
+        the edit ends only the edit's aligned ``2^(s-k)`` cell region is
+        reset and refilled from the live node. The cost is the path's
+        block fan-outs plus the edited subtree — about 500 cells for a
+        /24 at the default strides, not the whole root slot's subtree.
+        The one root-slot write counts once.
+
+        **Short edits** touch the aligned ``2^(stride-length)`` root
+        region. The region path never walks its slots one by one — it
+        descends the live structure once:
 
         * a labelled node *deeper than the edit* owns everything below
           it, so that subtree's slots are untouched (the edit cannot be
@@ -725,11 +737,12 @@ class FlatProgram:
           when its ``(node, best)`` pair differs from what the slot
           already encodes (the per-slot source cache).
 
-        Worst-case cost is therefore proportional to the edited
+        A short edit's cost is therefore proportional to the edited
         structure — the affected leaves — not to ``2^(stride-length)``.
-        Replaced child blocks are abandoned (see :attr:`bloated`);
-        cells of untouched slots are never mutated, so compile-time
-        block sharing stays safe.
+
+        Either way, replaced cells and blocks are abandoned (see
+        :attr:`bloated`) and no existing cell is ever mutated — only
+        fresh clones are — so compile-time block sharing stays safe.
 
         ``leaf_pushed`` declares the source structure's label
         semantics. The default (True) is the conservative one: labels
@@ -757,7 +770,7 @@ class FlatProgram:
         depths: dict = {}
         for prefix, length in spans:
             if length > stride:
-                self._patch_slot(prefix >> (length - stride), root, memo, depths)
+                self._patch_chain(prefix, length, root, memo, depths)
             else:
                 self._patch_region(prefix, length, root, memo, depths,
                                    leaf_pushed)
@@ -765,27 +778,92 @@ class FlatProgram:
         self.last_patch_slots = self.patch_slots_total - before_ops
         return self.last_patch_slots
 
-    def _patch_slot(self, slot: int, root, memo: dict, depths: dict) -> None:
-        """Recompile one root slot (an edit deeper than the stride).
+    def _patch_chain(self, prefix: int, length: int, root,
+                     memo: dict, depths: dict) -> None:
+        """Copy-on-write patch of one edit deeper than the root stride.
 
-        Always recomputes: the edit mutated the structure *below* the
-        boundary node, so boundary identity cannot certify the subtree
-        unchanged — only the region descent may consult the source
-        cache (there the edited route itself determines ``best``).
+        Walks the compiled block chain along ``prefix`` in step with the
+        live structure, accumulating ``best`` exactly as :meth:`_fill`
+        does. Each block on the path is cloned (one C-level slice copy:
+        compile-time interning may share it with other paths) and its
+        parent repointed; in the block where the edit ends, the edit's
+        aligned ``2^(s-k)`` cell region is reset to terminal and
+        refilled from the live node. A terminal (or overlaid) root slot
+        or cell reached first gets a fresh block, and a live subtree
+        that ended becomes a terminal. The root slot write counts once.
         """
+        width = self.width
         stride = self.root_stride
-        node = root
-        best = root.label if root.label is not None else NO_ROUTE
-        for depth in range(stride):
-            node = node.right if (slot >> (stride - depth - 1)) & 1 else node.left
-            if node is None:
-                break
-            if node.label is not None:
-                best = node.label
+        slot = prefix >> (length - stride)
+        best = NO_ROUTE if root.label is None else root.label
+        node, best = _follow(root, best, prefix, length, 0, stride)
         if node is None or (node.left is None and node.right is None):
             self._write_terminal(slot, best)
-        else:
-            self._write_block(slot, node, best, memo, depths, cacheable=False)
+            return
+        # The edit mutated the structure below the slot, so the source
+        # cache cannot certify it unchanged.
+        self._src.pop(slot, None)
+        encoded = self.root_ptr[slot]
+        overlay = self._overlay
+        if encoded < 0 or (overlay is not None and overlay.starts
+                           and overlay.get(slot) is not None):
+            self._write_block(slot, node, best, memo, depths)
+            return
+        self.patch_slots_total += 1
+        self._delta_dirty = True
+        if best > self.max_label:
+            self.max_label = best
+        self.root_val[slot] = best
+        cell_ptr = self.cell_ptr
+        cell_val = self.cell_val
+        parent = -1  # -1: the root slot; else the parent cell's index
+        depth = stride
+        while True:
+            base = encoded >> STRIDE_BITS
+            sub = encoded & STRIDE_MASK
+            fan = 1 << sub
+            clone = len(cell_ptr)
+            cell_ptr.extend(cell_ptr[base:base + fan])
+            cell_val.extend(cell_val[base:base + fan])
+            encoded = (clone << STRIDE_BITS) | sub
+            if parent < 0:
+                self.root_ptr[slot] = encoded
+            else:
+                cell_ptr[parent] = encoded
+            floor = depth + sub
+            if length <= floor:
+                # The edit ends here: reset its aligned region (copied
+                # child pointers must not survive — _fill writes only
+                # vals for leaves and gaps) and refill it from live.
+                inner = length - depth
+                start = (prefix & ((1 << inner) - 1)) << (sub - inner)
+                lo = clone + start
+                hi = lo + (1 << (sub - inner))
+                node, best = _follow(node, best, prefix, length, depth, length)
+                cell_ptr[lo:hi] = array("q", [TERMINAL]) * (hi - lo)
+                if node is None:
+                    if best > self.max_label:
+                        self.max_label = best
+                    cell_val[lo:hi] = array("q", [best]) * (hi - lo)
+                else:
+                    self._fill(cell_ptr, cell_val, clone, node, inner, sub,
+                               start, best, width - floor, memo, depths)
+                return
+            index = clone + ((prefix >> (length - floor)) & (fan - 1))
+            node, best = _follow(node, best, prefix, length, depth, floor)
+            if best > self.max_label:
+                self.max_label = best
+            cell_val[index] = best
+            if node is None or (node.left is None and node.right is None):
+                cell_ptr[index] = TERMINAL
+                return
+            encoded = cell_ptr[index]
+            if encoded < 0:
+                cell_ptr[index] = self.emit_block(node, best, width - floor,
+                                                  memo, depths)
+                return
+            parent = index
+            depth = floor
 
     def _patch_region(self, prefix: int, length: int, root,
                       memo: dict, depths: dict, leaf_pushed: bool) -> None:
@@ -794,15 +872,11 @@ class FlatProgram:
         stride = self.root_stride
         lo = prefix << (stride - length)
         hi = lo + (1 << (stride - length))
-        node = root
-        best = NO_ROUTE
-        for depth in range(length):
-            if node.label is not None:
-                best = node.label
-            node = node.right if (prefix >> (length - depth - 1)) & 1 else node.left
-            if node is None:
-                self._write_run(lo, hi, best)
-                return
+        best = NO_ROUTE if root.label is None else root.label
+        node, best = _follow(root, best, prefix, length, 0, length)
+        if node is None:
+            self._write_run(lo, hi, best)
+            return
         prune_depth = length if not leaf_pushed else self.root_stride + 1
         self._descend(node, length, prune_depth, lo, hi, best, memo, depths)
 
@@ -825,7 +899,7 @@ class FlatProgram:
             if node.left is None and node.right is None:
                 self._write_terminal(lo, best)
             else:
-                self._write_block(lo, node, best, memo, depths, cacheable=True)
+                self._write_block(lo, node, best, memo, depths)
             return
         mid = (lo + hi) >> 1
         left, right = node.left, node.right
@@ -882,7 +956,7 @@ class FlatProgram:
         self._journal(lo, hi, val)
 
     def _write_block(self, slot: int, node, best: int, memo: dict,
-                     depths: dict, *, cacheable: bool) -> None:
+                     depths: dict) -> None:
         """A boundary slot whose subtree reaches past the stride: emit
         (or skip, when the source cache proves the arrays current) the
         child block."""
@@ -893,7 +967,7 @@ class FlatProgram:
             covered = overlay.discard(slot, slot + 1)
             if covered:
                 self._ov_views = None
-        cached = src.get(slot) if cacheable else None
+        cached = src.get(slot)
         if cached is not None and cached[0] is node and cached[1] == best:
             # The arrays already encode exactly this (node, best) block:
             # every root write funnels through the patch paths, which
@@ -1282,6 +1356,25 @@ def _depth_below(node, memo: dict) -> int:
             cached = max(cached, 1 + _depth_below(right, memo))
         memo[id(node)] = cached
     return cached
+
+
+def _follow(node, best: int, prefix: int, length: int, depth: int,
+            target: int):
+    """Descend the live binary structure from ``node`` at ``depth`` to
+    ``target`` along ``prefix/length``; returns ``(node, best)`` with
+    ``best`` the last label seen (inclusive, as :meth:`_fill` counts
+    it) and ``node`` None once the live path ends."""
+    while depth < target:
+        if (prefix >> (length - depth - 1)) & 1:
+            node = node.right
+        else:
+            node = node.left
+        if node is None:
+            break
+        if node.label is not None:
+            best = node.label
+        depth += 1
+    return node, best
 
 
 def compile_binary(

@@ -42,11 +42,15 @@ against after quiescence (the ``compare`` discipline under churn).
    ``pending`` (rebuild plane, where the serving generation starts to
    lag and lookups count as stale).
 3. *Drain* — at the top of every batched lookup, ``flat_program()``
-   replays the adapter's patch log into the compiled program in place
-   (only root slots under the edited prefixes recompile); the replay is
-   churn-induced work and is charged to the update clock, never the
-   lookup timer. Once patch garbage would exceed the original image the
-   program recompiles from scratch (:attr:`FlatProgram.bloated`).
+   replays the adapter's patch log into the compiled program in place:
+   a short edit rewrites its root region, a deep edit clones the block
+   chain along its prefix and refills only its own cells
+   (:meth:`FlatProgram.patch_many`). The replay is churn-induced work
+   and is charged to the update clock, never the lookup timer. Once
+   patch garbage would exceed the original image the program
+   recompiles from scratch (:attr:`FlatProgram.bloated`); the cells
+   appended and those recompiles are exported as
+   ``flat_patch_cells_total`` and ``flat_recompiles_total``.
 4. *Epoch swap* — on the rebuild plane, once ``rebuild_every``
    operations are pending (or :meth:`rebuild` is called by a
    coordinator when ``auto_rebuild`` is off), a fresh generation is
@@ -189,6 +193,16 @@ class FibServer:
             "root-slot write operations by the flat patch compiler "
             "(a contiguous span written at once counts one)",
         )
+        self._obs_patch_cells = obs.counter(
+            "flat_patch_cells_total",
+            "cells appended to the serving program by the flat patch "
+            "compiler (cloned blocks, refilled regions, fresh blocks)",
+        )
+        self._obs_recompiles = obs.counter(
+            "flat_recompiles_total",
+            "from-scratch recompiles of a bloated serving program on the "
+            "incremental plane (epoch swaps and the first compile excluded)",
+        )
         self._obs_patch_seconds = obs.histogram(
             "flat_patch_seconds",
             "drain spans in which the patch compiler rewrote slots",
@@ -198,7 +212,9 @@ class FibServer:
             "pending delta-overlay intervals on the serving program",
         )
         self._patch_program = None
+        self._patch_owner = None
         self._patch_slots_seen = 0
+        self._patch_cells_seen = 0
         self._visibility = VisibilityTracker(
             obs.histogram(
                 "update_visibility_seconds",
@@ -275,18 +291,36 @@ class FibServer:
         elapsed = time.perf_counter() - started
         self._update_seconds += elapsed
         self._obs_drain.observe(elapsed)
-        if program is not self._patch_program:
-            # New program (first compile or epoch recompile): the slot
-            # counter baselines from it, not the old one.
+        previous = self._patch_program
+        wrote = False
+        if program is not previous:
+            if previous is not None and self._patch_owner is self._representation:
+                # Same generation, new program: the adapter drained the
+                # log into the old one, found it bloated and recompiled.
+                wrote = self._count_patches(previous)
+                self._obs_recompiles.inc()
+            # The counters baseline from the new program, not the old.
             self._patch_program = program
+            self._patch_owner = self._representation
             self._patch_slots_seen = program.patch_slots_total
-        slots = program.patch_slots_total
-        if slots != self._patch_slots_seen:
-            self._obs_patch_slots.inc(slots - self._patch_slots_seen)
-            self._patch_slots_seen = slots
+            self._patch_cells_seen = program.patch_cells_total
+        if self._count_patches(program) or wrote:
             self._obs_patch_seconds.observe(elapsed)
         self._obs_overlay.set(program.overlay_len)
         return program
+
+    def _count_patches(self, program) -> bool:
+        """Export the patch counters ``program`` gained since last seen;
+        True when the drain wrote any root slot."""
+        slots = program.patch_slots_total - self._patch_slots_seen
+        cells = program.patch_cells_total - self._patch_cells_seen
+        if slots:
+            self._obs_patch_slots.inc(slots)
+        if cells:
+            self._obs_patch_cells.inc(cells)
+        self._patch_slots_seen = program.patch_slots_total
+        self._patch_cells_seen = program.patch_cells_total
+        return bool(slots)
 
     def serving_program(self):
         """The live compiled program, patch log drained (None when

@@ -9,11 +9,16 @@ wire format. The hypothesis state machine shrinks failing update
 sequences to minimal counterexamples; ``derandomize=True`` keeps CI
 runs reproducible at a fixed seed.
 
-``REPRO_FUZZ_EXAMPLES`` scales the example count (CI runs 200; the
-default keeps tier-1 cheap). Deterministic satellites cover the overlay
-edge cases: frozen programs refusing patches, overlay pickling and
-image round-trips, merge idempotence, the empty-overlay fast path, and
-the bounded-growth regression for repeated same-slot patches.
+A second, seeded differential runs at width 16 with small root and
+block strides, so deep edits walk (and clone) chains of *nested*
+blocks — the copy-on-write path the width-8 machine never reaches.
+
+``REPRO_FUZZ_EXAMPLES`` scales the example count of both (CI runs
+200; the default keeps tier-1 cheap). Deterministic satellites cover
+the overlay edge cases: frozen programs refusing patches, overlay
+pickling and image round-trips, merge idempotence, the empty-overlay
+fast path, and the bounded-growth regression for repeated same-slot
+patches.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from tests.conftest import random_fib
 from repro import pipeline
 from repro.core.fib import Fib
+from repro.core.prefixdag import PrefixDag
 from repro.core.trie import BinaryTrie
 from repro.datasets import random_update_sequence
 from repro.datasets.updates import UpdateOp
@@ -152,6 +158,99 @@ class TestAdapterFuzz:
         assert unpack(program.lookup_batch_packed(probes)) == [
             mirror.lookup(address) for address in probes
         ]
+
+
+NESTED_WIDTH = 16
+NESTED_DOMAIN = list(range(1 << NESTED_WIDTH))
+NESTED_STEPS = 12
+
+
+def nested_fib(rng):
+    """A random width-16 FIB plus one route pattern replicated under
+    several ``head_length``-bit heads; returns ``(fib, heads,
+    head_length)``."""
+    fib = random_fib(rng, rng.randint(0, 40), 4,
+                     max_length=NESTED_WIDTH, width=NESTED_WIDTH)
+    head_length = rng.randint(2, 8)
+    heads = rng.sample(range(1 << head_length), min(4, 1 << head_length))
+    pattern = []
+    for _ in range(rng.randint(1, 12)):
+        tail = rng.randint(1, NESTED_WIDTH - head_length)
+        pattern.append((rng.getrandbits(tail), tail, rng.randint(1, 4)))
+    for head in heads:
+        for bits, tail, label in pattern:
+            fib.update((head << tail) | bits, head_length + tail, label)
+    return fib, heads, head_length
+
+
+class TestNestedBlockDifferential:
+    """Deep edits through nested blocks, checked over the whole domain.
+
+    Width 16 with a root stride in 1..5 and a sub-stride in 2..4 puts
+    most routes two or more block levels below the root, so a deep
+    patch clones a chain of blocks and refills only the edit's aligned
+    cell region in the last one. Both label semantics run: the binary
+    trie (``leaf_pushed=False``) and the prefix DAG (``leaf_pushed=True``,
+    whose folded sub-tries intern to blocks shared across paths). After
+    every patch the program must match a fresh compile on all 65,536
+    addresses (vector walk, when NumPy is importable) and the oracle on
+    sampled addresses through the portable loop, the packed walk and
+    ``Fib.lookup``.
+
+    The FIBs stamp one random route pattern under several heads at the
+    DAG's barrier, so folding shares whole sub-DAGs and compilation
+    shares their blocks: a patch that edited a shared block in place
+    instead of cloning it would change the answers of every other head.
+    """
+
+    @pytest.mark.parametrize("leaf_pushed", [False, True],
+                             ids=["binary-trie", "prefix-dag"])
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=FUZZ_EXAMPLES, deadline=None, derandomize=True)
+    def test_deep_patches_match_fresh_compile(self, leaf_pushed, seed):
+        rng = random.Random(seed)
+        root_stride = rng.randint(1, 5)
+        sub_stride = rng.choice((2, 3, 4))
+        fib, heads, head_length = nested_fib(rng)
+        if leaf_pushed:
+            source = PrefixDag(fib, barrier=head_length)
+        else:
+            source = BinaryTrie.from_fib(fib)
+        program = compile_binary(source.root, NESTED_WIDTH, root_stride,
+                                 sub_stride)
+        probes = [0, (1 << NESTED_WIDTH) - 1]
+        probes += [rng.getrandbits(NESTED_WIDTH) for _ in range(254)]
+        for _ in range(NESTED_STEPS):
+            routes = [(route.prefix, route.length) for route in fib]
+            if routes and rng.random() < 0.35:
+                prefix, length = rng.choice(routes)
+                label = None
+            else:
+                length = rng.randint(0, NESTED_WIDTH)
+                prefix = rng.getrandbits(length) if length else 0
+                if length > head_length and rng.random() < 0.5:
+                    # aim inside a replicated head, where blocks are shared
+                    tail = length - head_length
+                    prefix = (rng.choice(heads) << tail) | (prefix & ((1 << tail) - 1))
+                label = rng.randint(1, 4)
+            fib.update(prefix, length, label)
+            if leaf_pushed:
+                source.update(prefix, length, label)
+            elif label is None:
+                source.delete(prefix, length)
+            else:
+                source.insert(prefix, length, label)
+            program.patch(prefix, length, source.root,
+                          leaf_pushed=leaf_pushed)
+            fresh = compile_binary(source.root, NESTED_WIDTH, root_stride,
+                                   sub_stride)
+            if have_numpy():
+                assert program._batch_vector(NESTED_DOMAIN) == \
+                    fresh._batch_vector(NESTED_DOMAIN)
+            want = [fib.lookup(address) for address in probes]
+            assert fresh._batch_python(probes) == want
+            assert program._batch_python(probes) == want
+            assert unpack(program.lookup_batch_packed(probes)) == want
 
 
 def overlay_program():

@@ -201,6 +201,43 @@ class TestFibServer:
         assert report.rebuilds >= 1
         assert report.rebuild_cycles > 0
 
+    def test_bloat_recompile_and_patch_cells_are_counted(self, rng):
+        from repro.datasets.updates import UpdateOp
+        from repro.obs import Registry, snapshot_value
+
+        fib = random_fib(rng, 150, 4, max_length=24)
+        for index in range(8):
+            fib.add((10 << 16) | (index << 8), 24, 1)
+        registry = Registry()
+        server = serve.FibServer("prefix-dag", fib, obs=registry)
+        programs = [server.serving_program()]
+        for step in range(400):  # /24 label flips deep under 10/8
+            label = 2 + (step & 1)
+            server.apply_update(UpdateOp((10 << 16) | ((step % 8) << 8), 24, label))
+            program = server.serving_program()
+            if program is not programs[-1]:
+                programs.append(program)
+            if len(programs) == 3:
+                break
+        snapshot = registry.snapshot()
+        assert len(programs) == 3  # two bloat-triggered recompiles
+        assert snapshot_value(snapshot, "flat_recompiles_total") == 2
+        assert snapshot_value(snapshot, "flat_patch_cells_total") == sum(
+            program.patch_cells_total for program in programs
+        )
+        probes = uniform_trace(400, seed=5) + [(10 << 24) | 7]
+        assert server.parity_fraction(probes) == 1.0
+
+        # Epoch swaps and first compiles are not bloat recompiles.
+        registry = Registry()
+        server = serve.FibServer("lc-trie", fib, rebuild_every=2, obs=registry)
+        server.lookup_batch([0])
+        for label in (2, 3, 2, 3):
+            server.apply_update(UpdateOp(10 << 16, 24, label))
+            server.lookup_batch([0])
+        assert server.rebuilds == 2
+        assert snapshot_value(registry.snapshot(), "flat_recompiles_total") == 0
+
     def test_scalar_mode_matches_batched(self, rng):
         fib = random_fib(rng, 120, 3, max_length=12)
         events = self._script(fib, lookups=200, updates=10)

@@ -92,6 +92,18 @@ class TestCompare:
         assert len(failures) == 1
         assert "4-prefix" in failures[0]
 
+    def test_deep_patch_ratio_gates(self, tmp_path):
+        def serve(deep_ratio):
+            return {"rows": [], "patch_cost": {
+                "bounded_ratio": 4.6, "deep_bounded_ratio": deep_ratio,
+            }}
+
+        _write(tmp_path / "base", "BENCH_serve.json", serve(6.8))
+        _write(tmp_path / "new", "BENCH_serve.json", serve(1.0))
+        failures, _ = check_trajectory.check(tmp_path / "base", tmp_path / "new")
+        assert len(failures) == 1
+        assert "deep_bounded_ratio" in failures[0]
+
     def test_absolute_mlps_only_warns(self, tmp_path):
         _write(tmp_path / "base", "BENCH_pipeline.json", _pipeline(80.0, mlps=20.0))
         _write(tmp_path / "new", "BENCH_pipeline.json", _pipeline(80.0, mlps=2.0))
