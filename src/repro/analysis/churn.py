@@ -12,9 +12,9 @@ and post-quiescence parity.
 :func:`render_cluster_rows` extends the table for sharded runs
 (:class:`~repro.serve.metrics.ClusterReport`): shard count, replicated
 routes (the boundary-spanning prefixes every covering shard holds),
-mean update fan-out, staggered coordinator swaps, and the
+mean update fan-out, staggered coordinator swaps, the
 parallel-efficiency of the lookup fan-out under the critical-path
-clock.
+clock, and the measured wall-clock throughput next to that model.
 """
 
 from __future__ import annotations
@@ -76,17 +76,25 @@ CLUSTER_HEADERS = CHURN_HEADERS + (
     "fanout",
     "swaps",
     "efficiency",
+    "wall Mlps",
+    "agree",
 )
 
 
 def cluster_row(report) -> tuple:
-    """One table row from a :class:`~repro.serve.metrics.ClusterReport`."""
+    """One table row from a :class:`~repro.serve.metrics.ClusterReport`:
+    the churn columns, the sharding columns, then the *measured*
+    wall-clock lookup throughput and its agreement with the
+    critical-path model (the inherited ``lookup Mlps`` column is the
+    model's prediction)."""
     return churn_row(report) + (
         report.shards,
         report.replicated_routes,
         f"{report.update_fanout:.2f}",
         report.coordinator_swaps,
         f"{report.parallel_efficiency * 100:.0f}%",
+        report.measured_lookup_mlps,
+        f"{report.model_agreement * 100:.0f}%",
     )
 
 
@@ -97,8 +105,6 @@ def render_cluster_rows(reports: Iterable) -> str:
 
 
 WORKER_HEADERS = CLUSTER_HEADERS + (
-    "wall Mlps",
-    "agree",
     "transport",
     "attach[ms]",
     "tx[MB]",
@@ -109,18 +115,14 @@ WORKER_HEADERS = CLUSTER_HEADERS + (
 
 def worker_row(report) -> tuple:
     """One table row from a :class:`~repro.serve.metrics.WorkerReport`:
-    the cluster columns, then the *measured* wall-clock lookup
-    throughput, its agreement with the critical-path model (the
-    inherited ``lookup Mlps`` column is the model's prediction), the
-    data-plane transport the pool actually served over, the worst
-    per-worker program-segment attach time (``-`` on the pipe plane,
-    which rebuilds instead of attaching), the data-plane payload the
-    frontend moved each way, and the p99 update-visibility window
-    (ingress to first lookup served with the update visible; ``-``
-    on uninstrumented runs)."""
+    the cluster columns (wall-clock throughput and model agreement
+    included), then the data-plane transport the pool actually served
+    over, the worst per-worker program-segment attach time (``-`` on
+    the pipe plane, which rebuilds instead of attaching), the data-plane
+    payload the frontend moved each way, and the p99 update-visibility
+    window (ingress to first lookup served with the update visible;
+    ``-`` on uninstrumented runs)."""
     return cluster_row(report) + (
-        report.measured_lookup_mlps,
-        f"{report.model_agreement * 100:.0f}%",
         report.transport,
         "-" if report.transport != "shm" else f"{report.attach_seconds * 1e3:.2f}",
         f"{report.bytes_tx / 1e6:.2f}",

@@ -280,6 +280,40 @@ def check_addresses(addresses: Sequence[int], width: int) -> None:
         raise ValueError(f"address {highest:#x} outside {width}-bit space")
 
 
+def address_vector(addresses: Sequence[int], width: int):
+    """View a batch as a range-checked int64 NumPy vector (the vector
+    twin of :func:`check_addresses`; needs NumPy and ``width <= 62``).
+
+    Packed batches — ``array('q')`` buffers, ``memoryview`` ring slices
+    and int64 ndarrays, the wire format of the sharded and
+    multi-process serving planes — are viewed in place, not copied, so
+    no caller pays the per-element conversion loop. Anything else is
+    converted once. An address outside the ``width``-bit space raises
+    the same ``ValueError`` the scalar lookups raise.
+    """
+    np = _np
+    if isinstance(addresses, np.ndarray) and addresses.dtype == np.int64:
+        batch = addresses
+    elif isinstance(addresses, memoryview) or (
+        isinstance(addresses, array) and addresses.typecode == "q"
+    ):
+        batch = np.frombuffer(addresses, dtype=np.int64)
+    else:
+        try:
+            batch = np.fromiter(addresses, dtype=np.int64, count=len(addresses))
+        except OverflowError:
+            # Too wide for int64 means out of range for width <= 62.
+            raise ValueError(f"address outside {width}-bit space") from None
+    if batch.shape[0]:
+        lowest = batch.min()
+        if lowest < 0:
+            raise ValueError(f"address {int(lowest):#x} outside {width}-bit space")
+        highest = batch.max()
+        if int(highest) >> width:
+            raise ValueError(f"address {int(highest):#x} outside {width}-bit space")
+    return batch
+
+
 def have_numpy() -> bool:
     """True when the vectorized batch path is importable."""
     return _np is not None
@@ -1039,7 +1073,7 @@ class FlatProgram:
         if self.vectorized:
             np = _np
             root_ptr, root_val, cell_ptr, cell_val, _ = self._ensure_views()
-            batch = self._to_vector(np, addresses)
+            batch = address_vector(addresses, self.width)
             labels = self._resolve_vector(np, batch, root_ptr, root_val,
                                           cell_ptr, cell_val)
             return labels.tobytes()
@@ -1065,7 +1099,7 @@ class FlatProgram:
         if self.vectorized:
             np = _np
             root_ptr, root_val, cell_ptr, cell_val, _ = self._ensure_views()
-            batch = self._to_vector(np, addresses)
+            batch = address_vector(addresses, self.width)
             labels = self._resolve_vector(np, batch, root_ptr, root_val,
                                           cell_ptr, cell_val)
             dest = np.frombuffer(out, dtype=np.int64, count=count)
@@ -1106,49 +1140,6 @@ class FlatProgram:
         return count * 8
 
     # ------------------------------------------------------ vectorized plane
-
-    def _to_vector(self, np, addresses: Sequence[int]):
-        """Convert and range-check a batch in C (the vector-path twin of
-        :func:`check_addresses`).
-
-        Packed batches — ``array('q')`` buffers or int64 ndarrays, the
-        wire format of the multi-process serving plane — convert by
-        buffer view instead of per-element iteration, so a worker fed
-        over a pipe never pays the Python-object conversion loop.
-        """
-        if isinstance(addresses, array) and addresses.typecode == "q":
-            batch = np.frombuffer(addresses, dtype=np.int64)
-        elif isinstance(addresses, memoryview):
-            # Ring-buffer slices from the shared-memory transport: raw
-            # int64 payload, viewed in place — nothing is copied.
-            batch = np.frombuffer(addresses, dtype=np.int64)
-        elif isinstance(addresses, np.ndarray) and addresses.dtype == np.int64:
-            batch = addresses
-        else:
-            try:
-                batch = np.fromiter(
-                    addresses, dtype=np.int64, count=len(addresses)
-                )
-            except OverflowError:
-                # Too wide for int64 means out of range for width <= 62.
-                raise ValueError(
-                    f"address outside {self.width}-bit space"
-                ) from None
-        return self._check_range(batch)
-
-    def _check_range(self, batch):
-        """Range-check an int64 batch against the address width in C."""
-        lowest = batch.min()
-        if lowest < 0:
-            raise ValueError(
-                f"address {int(lowest):#x} outside {self.width}-bit space"
-            )
-        highest = batch.max()
-        if int(highest) >> self.width:
-            raise ValueError(
-                f"address {int(highest):#x} outside {self.width}-bit space"
-            )
-        return batch
 
     def _ensure_views(self):
         """Zero-copy NumPy views over the ``array('q')`` storage plus the
@@ -1258,7 +1249,7 @@ class FlatProgram:
     def _batch_vector(self, addresses: Sequence[int]) -> List[Optional[int]]:
         np = _np
         root_ptr, root_val, cell_ptr, cell_val, decode = self._ensure_views()
-        batch = self._to_vector(np, addresses)
+        batch = address_vector(addresses, self.width)
         labels = self._resolve_vector(np, batch, root_ptr, root_val,
                                       cell_ptr, cell_val)
         return decode[labels].tolist()

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.obs import NULL_REGISTRY, Registry
+from repro.pipeline.flat import address_vector
 from repro.pipeline.shard import DEFAULT_GRANULARITY_BITS, MAX_GRANULARITY_BITS
 
 try:  # pragma: no cover - exercised via both CI matrix legs
@@ -147,10 +148,14 @@ class TrafficStats:
         self._obs_observed.inc(count)
         shift = self.shift
         if self._counts is not None:
-            if isinstance(addresses, _np.ndarray):
-                batch = addresses
-            else:
-                batch = _np.fromiter(addresses, dtype=_np.int64, count=count)
+            # The serving planes pass the vector they already checked;
+            # packed batches are viewed in place, never copied element
+            # by element.
+            batch = (
+                addresses
+                if isinstance(addresses, _np.ndarray)
+                else address_vector(addresses, self.width)
+            )
             self._counts += _np.bincount(
                 batch >> _np.int64(shift), minlength=self._counts.shape[0]
             )

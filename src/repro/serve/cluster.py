@@ -38,11 +38,24 @@ high-water mark stays near ``total + one shard`` instead of the
 :class:`~repro.serve.metrics.ClusterReport` records per-shard
 staleness, the staggered swap count and that aggregate peak.
 
+**The fan-out.** A batch is range-checked and viewed as int64 once
+(:meth:`ShardPlan.checked_batch`, in place for packed input), split by
+owner in C (:meth:`ShardPlan.split_vector`), served slice by slice
+through each shard's packed path, and scatter-merged back into input
+order with one ``out[positions] = labels`` per shard
+(:func:`merge_labels`). Without NumPy the portable twin does the same
+with :meth:`ShardPlan.group` and a per-address merge; the worker pool
+(:mod:`repro.serve.workers`) splits and merges through the same
+helpers.
+
 **Clocks.** Shards are independent workers, so the cluster charges
 each batch the *slowest participating shard's* serving time (the
 critical path — what a deployment with one worker per shard would
 observe) while also accumulating the summed busy time; the ratio is
-the report's ``parallel_efficiency``.
+the report's ``parallel_efficiency``. The fan-out span itself — split,
+shard walks and merge, measured on the frontend — is the report's
+``wall_lookup_seconds``, so ``model_agreement`` prices what the model
+leaves out.
 
 >>> from repro.core.fib import Fib
 >>> from repro import serve
@@ -57,6 +70,7 @@ the report's ``parallel_efficiency``.
 from __future__ import annotations
 
 import time
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -66,7 +80,7 @@ from repro.core.trie import BinaryTrie, TrieNode
 from repro.datasets.updates import UpdateOp
 from repro.obs import NULL_REGISTRY, Registry
 from repro.pipeline import registry
-from repro.pipeline.flat import have_numpy
+from repro.pipeline.flat import address_vector, check_addresses, have_numpy
 from repro.pipeline.shard import (
     DEFAULT_GRANULARITY_BITS,
     MAX_GRANULARITY_BITS,
@@ -79,7 +93,7 @@ from repro.pipeline.shard import (
 from repro.serve.autoscale import MISS, AutoscalePolicy, FlowCache, TrafficStats
 from repro.serve.metrics import ClusterReport
 from repro.serve.scenarios import ServeEvent
-from repro.serve.server import DEFAULT_REBUILD_EVERY, FibServer
+from repro.serve.server import DEFAULT_REBUILD_EVERY, FibServer, _ints
 
 #: Partition modes a plan understands.
 PARTITION_MODES = ("prefix", "hash")
@@ -87,6 +101,11 @@ PARTITION_MODES = ("prefix", "hash")
 # DEFAULT_GRANULARITY_BITS / MAX_GRANULARITY_BITS now live in
 # repro.pipeline.shard (they are properties of the cut machinery, not
 # of serving) and are re-exported here for compatibility.
+
+try:  # the vector fan-out: owner split and scatter-merge in C
+    import numpy as _np
+except ImportError:  # pragma: no cover - exercised on the no-numpy CI leg
+    _np = None
 
 _MASK64 = (1 << 64) - 1
 
@@ -218,7 +237,9 @@ class ShardPlan:
         self, addresses: Sequence[int]
     ) -> Dict[int, Tuple[List[int], List[int]]]:
         """Split a batch by owning shard, remembering input positions
-        so merged answers come back in input order."""
+        so merged answers come back in input order — the portable twin
+        of :meth:`split_vector` (and the split ``parity_fraction``
+        probes through)."""
         groups: Dict[int, Tuple[List[int], List[int]]] = {}
         if self.mode == "hash":
             shards = self.shards
@@ -249,12 +270,13 @@ class ShardPlan:
 
         Returns ``{shard: (positions, addresses)}`` with both values as
         int64 arrays — the vector twin of :meth:`group`, used by the
-        worker frontend where the per-address Python loop would sit on
-        the serial critical path of every fanned-out batch. Requires
-        NumPy (callers fall back to :meth:`group`) and a width the
-        int64 shift can carry.
+        cluster and worker frontends (through :meth:`split`) where the
+        per-address Python loop would sit on the serial critical path
+        of every fanned-out batch. Requires NumPy and a width the int64
+        shift can carry (:attr:`vectorized`), and an in-range batch:
+        an out-of-range address would have no owner.
         """
-        import numpy as np
+        np = _np
 
         if self.mode == "hash":
             owners = (
@@ -310,6 +332,28 @@ class ShardPlan:
         """True when :meth:`split_vector` is usable for this plan."""
         return have_numpy() and self.width <= _NUMPY_MAX_WIDTH
 
+    def checked_batch(self, addresses: Sequence[int]):
+        """A lookup batch ready for :meth:`split`, range-checked once.
+
+        Vectorized plans view it as an int64 vector (in place for
+        ``array('q')``, memoryview and ndarray input); the portable twin
+        keeps the sequence as given. Either way an address outside the
+        ``width``-bit space raises the ``ValueError`` a single
+        :class:`~repro.serve.server.FibServer` raises — no shard, and
+        no scatter slot, is ever left without an owner.
+        """
+        if self.vectorized:
+            return address_vector(addresses, self.width)
+        check_addresses(addresses, self.width)
+        return addresses
+
+    def split(self, batch) -> Dict[int, Tuple[Any, Any]]:
+        """Owner split of a :meth:`checked_batch`: :meth:`split_vector`
+        when vectorized, the portable :meth:`group` otherwise."""
+        if self.vectorized:
+            return self.split_vector(batch)
+        return self.group(batch)
+
     def materialize(self, fib: Fib) -> List[ShardSpec]:
         """One :class:`~repro.pipeline.shard.ShardSpec` per shard of
         this plan — the shared partition step of the simulated cluster
@@ -322,6 +366,41 @@ class ShardPlan:
                 for index in range(self.shards)
             ]
         return shard_specs(fib, self.bounds, replicate=self.hot)
+
+
+def merge_labels(count: int, parts):
+    """Scatter-merge per-shard label replies back into input order.
+
+    ``parts`` yields ``(positions, payload)`` pairs: the input positions
+    one shard served — an int64 ndarray, packed int64 bytes, a sequence
+    of ints, or None for the whole batch in order — and that shard's
+    packed int64 labels (0 = no route). Every position must be covered
+    by exactly one part. Returns one int64 label vector: a NumPy array
+    filled by one ``out[positions] = labels`` scatter per part, or,
+    without NumPy, an ``array('q')`` filled by the portable loop.
+    """
+    if _np is not None:
+        out = _np.empty(count, dtype=_np.int64)
+        for positions, payload in parts:
+            labels = _np.frombuffer(payload, dtype=_np.int64)
+            if positions is None:
+                out[:] = labels
+                continue
+            if isinstance(positions, (bytes, bytearray)):
+                positions = _np.frombuffer(positions, dtype=_np.int64)
+            out[positions] = labels
+        return out
+    out = array("q", bytes(8 * count))
+    for positions, payload in parts:
+        labels = array("q")
+        labels.frombytes(payload)
+        if positions is None:
+            positions = range(count)
+        elif isinstance(positions, (bytes, bytearray)):
+            positions = array("q", positions)
+        for position, label in zip(positions, labels):
+            out[position] = label
+    return out
 
 
 def _leaf_count(node: TrieNode) -> int:
@@ -703,6 +782,7 @@ class FibCluster:
         self._fanout_total = 0
         self._lookup_seconds = 0.0
         self._busy_lookup_seconds = 0.0
+        self._wall_lookup_seconds = 0.0
         self._update_seconds = 0.0
         self._peak_size_bits = self._total_size_bits()
 
@@ -754,79 +834,103 @@ class FibCluster:
         return self.lookup_batch([address])[0]
 
     def lookup_batch(self, addresses: Sequence[int]) -> List[Optional[int]]:
-        """Fan a batch out to the owning shards, merge in input order.
-
-        The coordinator gets its per-event tick first (a due shard swaps
-        off the lookup path, charged to its rebuild clock), then the
-        autoscaler gets its step — fold the batch into the traffic
-        grid, advance an in-flight re-plan by one shard, or check for
-        drift. The batch is then charged the slowest shard's serving
-        time — the critical path a one-worker-per-shard deployment
-        would observe — while the summed busy time feeds
-        ``parallel_efficiency``. Flow-cache hits short-circuit at the
-        frontend and charge no shard at all.
-        """
-        self._tick()
-        self._batches += 1
-        if not len(addresses):
-            return []
-        if self._traffic is not None:
-            self._traffic.observe(addresses)
-            self._autoscale_step(len(addresses))
-        fanout_started = time.perf_counter()
-        out: List[Optional[int]] = [None] * len(addresses)
-        cache = self._flow_cache
-        if cache is None:
-            misses = addresses
-            miss_positions: Optional[List[int]] = None
-        else:
-            misses = []
-            miss_positions = []
-            get = cache.get
-            for position, address in enumerate(addresses):
-                label = get(address)
-                if label is MISS:
-                    misses.append(address)
-                    miss_positions.append(position)
-                else:
-                    out[position] = label
-        critical = 0.0
-        if len(misses):
-            for index, (positions, slice_) in self._plan.group(misses).items():
-                server = self._shards[index].server
-                lookup_before = server.lookup_seconds
-                update_before = server.update_seconds
-                labels = server.lookup_batch(slice_)
-                spent = server.lookup_seconds - lookup_before
-                # Patch-log drains inside the shard are churn-induced work.
-                self._update_seconds += server.update_seconds - update_before
-                self._busy_lookup_seconds += spent
-                self._obs_shard_busy[index].add(spent)
-                if spent > critical:
-                    critical = spent
-                if miss_positions is None:
-                    for position, label in zip(positions, labels):
-                        out[position] = label
-                else:
-                    put = cache.put
-                    for position, address, label in zip(
-                        positions, slice_, labels
-                    ):
-                        out[miss_positions[position]] = label
-                        put(address, label)
-        self._lookup_seconds += critical
-        self._lookups += len(addresses)
-        self._obs_fanout.observe(time.perf_counter() - fanout_started)
-        return out
+        """Serve a batch through the fan-out, labels decoded (0 = no
+        route becomes None)."""
+        return [label if label else None for label in self._serve(addresses).tolist()]
 
     def lookup_batch_packed(self, addresses: Sequence[int]) -> bytes:
         """Packed-label twin of :meth:`lookup_batch` (native int64 with
         0 = no route), matching the single-server wire shape."""
-        from array import array
+        return self._serve(addresses).tobytes()
 
-        return array(
-            "q", [label if label else 0 for label in self.lookup_batch(addresses)]
-        ).tobytes()
+    def _serve(self, addresses: Sequence[int]):
+        """The one lookup path behind both batch surfaces; returns the
+        packed labels in input order.
+
+        The batch is range-checked and viewed as int64 first, so a bad
+        address changes nothing. The coordinator then gets its per-event
+        tick (a due shard swaps off the lookup path, charged to its
+        rebuild clock), then the autoscaler gets its step — fold the
+        batch into the traffic grid, advance an in-flight re-plan by one
+        shard, or check for drift. The fan-out itself is timed as the
+        batch's wall clock (``cluster_fanout_seconds``); the shards are
+        charged on the critical-path clock (see :meth:`_fan_out`).
+        Flow-cache hits short-circuit at the frontend and charge no
+        shard at all.
+        """
+        batch = self._plan.checked_batch(addresses)
+        self._tick()
+        self._batches += 1
+        count = len(batch)
+        if not count:
+            return array("q")
+        if self._traffic is not None:
+            self._traffic.observe(batch)
+            self._autoscale_step(count)
+        started = time.perf_counter()
+        if self._flow_cache is None:
+            labels = self._fan_out(batch)
+        else:
+            labels = self._fan_out_cached(batch)
+        self._lookups += count
+        elapsed = time.perf_counter() - started
+        self._wall_lookup_seconds += elapsed
+        self._obs_fanout.observe(elapsed)
+        return labels
+
+    def _fan_out(self, batch):
+        """Split a checked batch by owner, serve each slice through its
+        shard's packed path and scatter-merge the labels in input order.
+
+        The batch is charged the slowest shard's serving time — the
+        critical path a one-worker-per-shard deployment would observe —
+        while the summed busy time feeds ``parallel_efficiency``.
+        """
+        parts = []
+        critical = 0.0
+        for index, (positions, slice_) in self._plan.split(batch).items():
+            server = self._shards[index].server
+            lookup_before = server.lookup_seconds
+            update_before = server.update_seconds
+            parts.append((positions, server.lookup_batch_packed(slice_)))
+            spent = server.lookup_seconds - lookup_before
+            # Patch-log drains inside the shard are churn-induced work.
+            self._update_seconds += server.update_seconds - update_before
+            self._busy_lookup_seconds += spent
+            self._obs_shard_busy[index].add(spent)
+            if spent > critical:
+                critical = spent
+        self._lookup_seconds += critical
+        return merge_labels(len(batch), parts)
+
+    def _fan_out_cached(self, batch):
+        """Probe the flow cache per address; only the misses fan out,
+        and their answers fill the cache."""
+        cache = self._flow_cache
+        get = cache.get
+        hit_positions: List[int] = []
+        hit_labels = array("q")
+        miss_positions: List[int] = []
+        misses: List[int] = []
+        addresses = _ints(batch)
+        for position, address in enumerate(addresses):
+            label = get(address)
+            if label is MISS:
+                miss_positions.append(position)
+                misses.append(address)
+            else:
+                hit_positions.append(position)
+                hit_labels.append(label or 0)
+        parts = [(hit_positions, hit_labels.tobytes())]
+        if misses:
+            served = self._fan_out(
+                batch[miss_positions] if self._plan.vectorized else misses
+            )
+            put = cache.put
+            for address, label in zip(misses, served.tolist()):
+                put(address, label or None)
+            parts.append((miss_positions, served.tobytes()))
+        return merge_labels(len(addresses), parts)
 
     # ---------------------------------------------------------------- updates
 
@@ -1164,6 +1268,7 @@ class FibCluster:
             replicated_routes=self.replicated_routes,
             update_fanout=(self._fanout_total / applied) if applied else 0.0,
             busy_lookup_seconds=self._busy_lookup_seconds,
+            wall_lookup_seconds=self._wall_lookup_seconds,
             coordinator_swaps=self._coordinator.swaps,
             shard_rows=tuple(shard_rows),
             replans=self._replans,

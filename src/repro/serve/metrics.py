@@ -18,16 +18,16 @@ scenario script through one :class:`~repro.serve.server.FibServer`:
   report zero for both.
 
 A :class:`WorkerReport` extends :class:`ClusterReport` to the
-multi-process plane (:mod:`repro.serve.workers`). The simulated cluster
-can only *model* concurrency — its ``lookup_seconds`` critical path is
-a prediction of what one-worker-per-shard hardware would do. The worker
-pool actually runs that deployment, so the report carries both clocks
-side by side: the inherited critical-path prediction and the
-**measured** wall-clock fields (``wall_lookup_seconds`` is the span
-during which at least one lookup batch was in flight, so pipelined
-batches are not double-counted). ``model_agreement`` is their ratio —
-the validation the ROADMAP's "wall-clock scaling matches the
-critical-path model" item asks for.
+multi-process plane (:mod:`repro.serve.workers`). The in-process
+cluster can only *model* concurrency — its ``lookup_seconds`` critical
+path is a prediction of what one-worker-per-shard hardware would do.
+The worker pool actually runs that deployment. Both reports carry the
+two clocks side by side: the critical-path prediction and the
+**measured** ``wall_lookup_seconds`` (the cluster's fan-out span; on
+the pool the span during which at least one lookup batch was in
+flight, so pipelined batches are not double-counted).
+``model_agreement`` is their ratio — the model-vs-measured validation
+exported for every sharded plane.
 
 A :class:`ClusterReport` extends the same record to a sharded
 deployment (:mod:`repro.serve.cluster`). The aggregate counters keep
@@ -184,6 +184,11 @@ class ClusterReport(ServeReport):
     #: Summed per-shard lookup busy time (lookup_seconds holds the
     #: critical path — the slowest shard per batch).
     busy_lookup_seconds: float = 0.0
+    #: Measured frontend wall seconds spent serving lookup batches: the
+    #: in-process fan-out span (split, shard walks, merge) on the
+    #: cluster; the span with >= 1 batch in flight on the worker pool,
+    #: so pipelined batches are not double-counted.
+    wall_lookup_seconds: float = 0.0
     #: Mid-stream epoch swaps the coordinator performed, one shard at a
     #: time (never a global pause).
     coordinator_swaps: int = 0
@@ -210,6 +215,33 @@ class ClusterReport(ServeReport):
         if not self.flow_cache_lookups:
             return 0.0
         return self.flow_cache_hits / self.flow_cache_lookups
+
+    @property
+    def measured_lookup_mlps(self) -> float:
+        """Million lookups per second of *measured* wall clock."""
+        if not self.wall_lookup_seconds:
+            return 0.0
+        return self.lookups / self.wall_lookup_seconds / 1e6
+
+    @property
+    def predicted_lookup_mlps(self) -> float:
+        """The critical-path model's throughput prediction (what the
+        inherited ``lookup_mlps`` computes from ``lookup_seconds``)."""
+        return self.lookup_mlps
+
+    @property
+    def model_agreement(self) -> float:
+        """Measured over predicted throughput, deliberately uncapped in
+        both directions: below 1.0 the shortfall is fan-out overhead
+        the critical-path model does not price (the frontend's split
+        and merge; on the worker pool also serialization and
+        transport); above 1.0 means pipelining overlapped more than the
+        model assumed."""
+        predicted = self.predicted_lookup_mlps
+        measured = self.measured_lookup_mlps
+        if not predicted or not measured:
+            return 0.0
+        return measured / predicted
 
     @property
     def parallel_efficiency(self) -> float:
@@ -243,6 +275,9 @@ class ClusterReport(ServeReport):
             lookup_imbalance=self.lookup_imbalance,
             max_shard_staleness=self.max_shard_staleness,
             flow_cache_hit_rate=self.flow_cache_hit_rate,
+            measured_lookup_mlps=self.measured_lookup_mlps,
+            predicted_lookup_mlps=self.predicted_lookup_mlps,
+            model_agreement=self.model_agreement,
         )
         return record
 
@@ -265,8 +300,6 @@ class WorkerReport(ClusterReport):
     #: Wall seconds from first process start to the last ready ack
     #: (process boot + shard build + compile, off the serving path).
     spawn_seconds: float = 0.0
-    #: Wall seconds during which >= 1 lookup batch was in flight.
-    wall_lookup_seconds: float = 0.0
     #: Wall seconds for the whole replay (lookups, updates, swaps).
     wall_seconds: float = 0.0
     #: Data-plane transport the pool served over: ``shm`` (shared-memory
@@ -315,32 +348,6 @@ class WorkerReport(ClusterReport):
         return self.shards
 
     @property
-    def measured_lookup_mlps(self) -> float:
-        """Million lookups per second of *measured* wall clock."""
-        if not self.wall_lookup_seconds:
-            return 0.0
-        return self.lookups / self.wall_lookup_seconds / 1e6
-
-    @property
-    def predicted_lookup_mlps(self) -> float:
-        """The critical-path model's throughput prediction (what
-        :class:`ClusterReport` calls ``lookup_mlps``)."""
-        return self.lookup_mlps
-
-    @property
-    def model_agreement(self) -> float:
-        """Measured over predicted throughput, deliberately uncapped in
-        both directions: below 1.0 the shortfall is fan-out overhead
-        the critical-path model does not price (serialization, pipes,
-        the frontend's merge); above 1.0 means pipelining overlapped
-        more than the model assumed."""
-        predicted = self.predicted_lookup_mlps
-        measured = self.measured_lookup_mlps
-        if not predicted or not measured:
-            return 0.0
-        return measured / predicted
-
-    @property
     def availability(self) -> float:
         """Fraction of offered lookups that were answered — by a
         worker, a retry, or the degraded frontend path; only
@@ -362,9 +369,6 @@ class WorkerReport(ClusterReport):
         record = super().to_dict()
         record.update(
             workers=self.workers,
-            measured_lookup_mlps=self.measured_lookup_mlps,
-            predicted_lookup_mlps=self.predicted_lookup_mlps,
-            model_agreement=self.model_agreement,
             availability=self.availability,
             mean_recovery_seconds=self.mean_recovery_seconds,
         )

@@ -84,6 +84,13 @@ from repro.simulator.costmodel import rebuild_cycles
 DEFAULT_REBUILD_EVERY = 64
 
 
+def _ints(addresses: Sequence[int]) -> Sequence[int]:
+    """Python ints for a per-address loop: packed batches (int64
+    ndarray slices from a sharded fan-out, ``array('q')``) unbox once."""
+    tolist = getattr(addresses, "tolist", None)
+    return tolist() if tolist is not None else addresses
+
+
 class FibServer:
     """Serve lookups from one representation while applying churn.
 
@@ -355,7 +362,7 @@ class FibServer:
         if packed:
             self._label_mismatches += sum(
                 1
-                for address, label in zip(addresses, served)
+                for address, label in zip(_ints(addresses), served)
                 if label != (oracle(address) or 0)
             )
         else:
@@ -403,7 +410,7 @@ class FibServer:
         else:  # unbatched: the scalar lookup, packed
             scalar = self._representation.lookup
             payload = array(
-                "q", [scalar(address) or 0 for address in addresses]
+                "q", [scalar(address) or 0 for address in _ints(addresses)]
             ).tobytes()
         elapsed = time.perf_counter() - started
         self._lookup_seconds += elapsed

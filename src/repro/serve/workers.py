@@ -109,6 +109,7 @@ from repro.serve.cluster import (
     EpochCoordinator,
     _mix64,
     _mix64_vector,
+    merge_labels,
     plan_cluster,
 )
 from repro.serve.faults import (
@@ -702,6 +703,7 @@ class _WorkerHandle:
         "reason",
         "fail_op",
         "reader",
+        "ready",
         "req_ring",
         "res_ring",
         "attach_seconds",
@@ -718,6 +720,10 @@ class _WorkerHandle:
         self.process = process
         self.conn = conn
         self.pending: Dict[int, Future] = {}
+        # The readiness ack (seq 0), kept here as well: the reader thread
+        # pops it from ``pending`` as soon as the worker acks, which can
+        # be before the spawning caller gets to wait on it.
+        self.ready: Optional[Future] = None
         self.lock = threading.Lock()
         # Serializes producers onto the worker's pipe/request ring: the
         # replay thread, the supervisor's publish walk and the merge
@@ -1069,14 +1075,14 @@ class WorkerPool:
                     handle = self._spawn_shm_worker(
                         context, index, len(fib), incarnation=0
                     )
-                    ready.append(handle.pending[0])
+                    ready.append(handle.ready)
                     self._handles.append(handle)
             else:
                 for spec in self._plan.materialize(fib):
                     handle = self._spawn_pipe_worker(
                         context, spec, incarnation=0
                     )
-                    ready.append(handle.pending[0])
+                    ready.append(handle.ready)
                     self._handles.append(handle)
             if self._transport == "shm":
                 self._proxies = []
@@ -1239,7 +1245,7 @@ class WorkerPool:
         self, context, index: int, routes: int, incarnation: int
     ) -> _WorkerHandle:
         """Start one shm-transport worker process against the currently
-        published program segment; its readiness ack is pending[0]."""
+        published program segment; its readiness ack is ``handle.ready``."""
         lo, hi = self._plan.shard_range(index)
         req_ring = ShmRing.create(self._ring_bytes)
         self._rings.append(req_ring)
@@ -1269,7 +1275,7 @@ class WorkerPool:
         handle.incarnation = incarnation
         handle.req_ring = req_ring
         handle.res_ring = res_ring
-        handle.pending[0] = Future()  # the readiness ack (seq 0)
+        handle.ready = handle.pending[0] = Future()  # the readiness ack
         handle.reader = threading.Thread(
             target=_reader_loop, args=(handle,), daemon=True
         )
@@ -1278,7 +1284,7 @@ class WorkerPool:
 
     def _spawn_pipe_worker(self, context, spec, incarnation: int) -> _WorkerHandle:
         """Start one pipe-transport worker process from a shard spec
-        (the pickled restricted FIB); its readiness ack is pending[0]."""
+        (the pickled restricted FIB); its readiness ack is ``handle.ready``."""
         parent_conn, child_conn = context.Pipe(duplex=True)
         process = context.Process(
             target=worker_main,
@@ -1302,7 +1308,7 @@ class WorkerPool:
             spec.index, spec.lo, spec.hi, spec.routes, process, parent_conn
         )
         handle.incarnation = incarnation
-        handle.pending[0] = Future()  # the readiness ack (seq 0)
+        handle.ready = handle.pending[0] = Future()  # the readiness ack
         handle.reader = threading.Thread(
             target=_reader_loop, args=(handle,), daemon=True
         )
@@ -1415,7 +1421,7 @@ class WorkerPool:
                 handle = self._spawn_pipe_worker(context, spec, incarnation)
             try:
                 ack = self._await(
-                    handle.pending[0], handle=handle, op="ready",
+                    handle.ready, handle=handle, op="ready",
                     timeout=self._control_timeout,
                 )
             except WorkerError:
@@ -1651,31 +1657,16 @@ class WorkerPool:
 
     # ---------------------------------------------------------------- lookups
 
-    def _split(self, addresses: Sequence[int]):
-        """Owner split -> [(handle, positions, packed_addresses)].
-
-        Vectorized (``ShardPlan.split_vector``: searchsorted + per-shard
-        masks over an int64 view) when NumPy is available; the portable
-        path reuses ``ShardPlan.group``.
-        """
+    def _split(self, batch):
+        """Owner split of a checked batch (``ShardPlan.checked_batch``)
+        -> [(handle, positions, packed_addresses)], through
+        ``ShardPlan.split``: the vector split over an int64 view, or the
+        portable ``group``."""
         if self._plan.shards == 1:
-            return [(self._handles[0], None, _pack_addresses(addresses))]
-        if _np is not None and self._plan.vectorized:
-            if isinstance(addresses, _np.ndarray):
-                batch = addresses
-            elif isinstance(addresses, array) and addresses.typecode == "q":
-                batch = _np.frombuffer(addresses, dtype=_np.int64)
-            else:
-                batch = _np.fromiter(
-                    addresses, dtype=_np.int64, count=len(addresses)
-                )
-            return [
-                (self._handles[shard], positions, slice_.tobytes())
-                for shard, (positions, slice_) in self._plan.split_vector(batch).items()
-            ]
+            return [(self._handles[0], None, _pack_addresses(batch))]
         return [
             (self._handles[shard], positions, _pack_addresses(slice_))
-            for shard, (positions, slice_) in self._plan.group(addresses).items()
+            for shard, (positions, slice_) in self._plan.split(batch).items()
         ]
 
     def _enter_flight(self) -> None:
@@ -1702,18 +1693,19 @@ class WorkerPool:
         to every worker (one ``bytes`` pickled N times at memcpy
         speed); split mode owner-groups here and ships slices.
         """
+        batch = self._plan.checked_batch(addresses)
         self._tick()
         self._batches += 1
-        count = len(addresses)
+        count = len(batch)
         if not count:
             return [], 0
         if self._traffic is not None:
-            self._traffic.observe(addresses)
+            self._traffic.observe(batch)
             self._autoscale_step(count)
         self._enter_flight()
         try:
             if self._broadcast:
-                packed = _pack_addresses(addresses)
+                packed = _pack_addresses(batch)
                 sent = len(packed) * len(self._handles)
                 parts = [
                     (
@@ -1724,7 +1716,7 @@ class WorkerPool:
                     for handle in self._handles
                 ]
             else:
-                split = self._split(addresses)
+                split = self._split(batch)
                 sent = sum(len(packed) for _, _, packed in split)
                 parts = [
                     (
@@ -1820,27 +1812,9 @@ class WorkerPool:
             with self._account_lock:
                 self._bytes_rx += received
         self._account_batch([reply for reply, _ in replies])
-        if len(replies) == 1 and replies[0][1] is None:  # single-shard plan
-            merged = _unpack(replies[0][0][0])
-            if _np is not None:
-                merged = _np.frombuffer(merged, dtype=_np.int64)
-        elif _np is not None:
-            merged = _np.empty(count, dtype=_np.int64)
-            for (payload, _, _), positions in replies:
-                labels = _np.frombuffer(payload, dtype=_np.int64)
-                if isinstance(positions, bytes):
-                    positions = _np.frombuffer(positions, dtype=_np.int64)
-                elif not isinstance(positions, _np.ndarray):
-                    positions = _np.asarray(positions, dtype=_np.int64)
-                merged[positions] = labels
-        else:
-            merged = array("q", bytes(8 * count))
-            for (payload, _, _), positions in replies:
-                labels = _unpack(payload)
-                if isinstance(positions, bytes):
-                    positions = _unpack(positions)
-                for position, label in zip(positions, labels):
-                    merged[position] = label
+        merged = merge_labels(
+            count, [(positions, labels) for (labels, _, _), positions in replies]
+        )
         if not decode:
             return merged
         return [label if label else None for label in merged.tolist()]
@@ -2395,7 +2369,7 @@ class WorkerPool:
         self.settle()
         oracle = self._control.lookup
         agreed = 0
-        for handle, _, packed in self._split(addresses):
+        for handle, _, packed in self._split(self._plan.checked_batch(addresses)):
             probe = _unpack(packed)
             served = _unpack(
                 self._await(

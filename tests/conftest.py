@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import random
+from array import array
 
 import pytest
 
 from repro.core.fib import Fib
 from repro.core.trie import BinaryTrie
+from repro.serve.cluster import ShardPlan
 
 PAPER_EXAMPLE_ENTRIES = [
     # The running example of Fig 1: prefix, length, label.
@@ -63,6 +65,24 @@ def assert_forwarding_equivalent(reference, candidate, rng, samples=500, width=3
         want = reference(address)
         got = candidate(address)
         assert got == want, f"lookup({address:#x}): want {want!r}, got {got!r}"
+
+
+def serve_both_ways(cluster, batch):
+    """One batch through the vector fan-out and then the portable one
+    (``ShardPlan.vectorized`` forced false: the ``group`` split the
+    no-NumPy leg runs):
+    ``{path: (labels, packed labels from a list, packed from array('q'))}``."""
+    results = {}
+    for path in ("vector", "portable"):
+        with pytest.MonkeyPatch.context() as patch:
+            if path == "portable":
+                patch.setattr(ShardPlan, "vectorized", property(lambda self: False))
+            results[path] = (
+                cluster.lookup_batch(batch),
+                list(array("q", cluster.lookup_batch_packed(batch))),
+                list(array("q", cluster.lookup_batch_packed(array("q", batch)))),
+            )
+    return results
 
 
 @pytest.fixture

@@ -32,7 +32,7 @@ from repro.serve.metrics import ServeReport
 from repro.serve.plane import ServingPlane, open_plane
 from repro.serve.server import FibServer
 from repro.serve.workers import AsyncFibFrontend, WorkerPool
-from tests.conftest import random_fib
+from tests.conftest import random_fib, serve_both_ways
 
 try:
     import numpy
@@ -117,6 +117,31 @@ class TestTrafficStats:
             fast.observe(batch)
             slow.observe(batch)
         assert fast.snapshot() == slow.snapshot()
+
+    def test_packed_and_list_batches_count_alike(self, monkeypatch):
+        rng = random.Random(41)
+        batch = [rng.getrandbits(16) for _ in range(300)]
+        forms = {
+            "list": batch,
+            "array": array("q", batch),
+            "memoryview": memoryview(array("q", batch)),
+        }
+        if numpy is not None:
+            forms["ndarray"] = numpy.asarray(batch, dtype=numpy.int64)
+        counts = {}
+        for name, form in forms.items():
+            stats = TrafficStats(width=16, bits=6)
+            if numpy is not None and name != "list":
+                # Packed input is viewed in place, never rebuilt element
+                # by element.
+                with monkeypatch.context() as patch:
+                    patch.setattr(numpy, "fromiter", None)
+                    stats.observe(form)
+            else:
+                stats.observe(form)
+            counts[name] = (stats.snapshot(), stats.total)
+        assert all(value == counts["list"] for value in counts.values())
+        assert counts["list"][1] == len(batch)
 
     def test_grid_needs_at_least_one_bit(self):
         with pytest.raises(ValueError):
@@ -369,6 +394,79 @@ class TestClusterControlLoop:
             assert cluster.lookup(address) == 5
 
 
+class TestVectorFanOutControlLoop:
+    """The cluster's vector fan-out against its portable ``group`` twin
+    and the oracle, on every batch, while the control loop acts."""
+
+    def _check(self, cluster, batch):
+        expected = [cluster.control.lookup(a) for a in batch]
+        packed = [label or 0 for label in expected]
+        results = serve_both_ways(cluster, batch)
+        assert results["vector"] == results["portable"] == (expected, packed, packed)
+
+    def test_hot_range_spray(self, small_fib):
+        policy = aggressive_policy(
+            min_window=128, hot_share=0.3, max_hot=2, granularity=8,
+        )
+        rng = random.Random(43)
+        hot_slot = 0x5A
+        with FibCluster(
+            "prefix-dag", small_fib, shards=4, autoscale=policy,
+            measure_staleness=False,
+        ) as cluster:
+            for _ in range(12):  # one slot takes all the traffic
+                batch = [(hot_slot << 24) | rng.getrandbits(24) for _ in range(128)]
+                self._check(cluster, batch)
+            assert cluster.plan.hot == ((hot_slot << 24, (hot_slot + 1) << 24),)
+            for _ in range(6):  # seeded spray: half the batch is hot
+                batch = [
+                    (hot_slot << 24) | rng.getrandbits(24)
+                    if rng.random() < 0.5 else rng.getrandbits(32)
+                    for _ in range(256)
+                ]
+                batch += [hot_slot << 24] * 8  # one flow, sprayed
+                self._check(cluster, batch)
+            assert cluster.report().replans >= 1
+
+    def test_flow_cache_across_updates(self, small_fib):
+        policy = aggressive_policy(imbalance_threshold=1e9, flow_cache=96)
+        rng = random.Random(47)
+        flows = [rng.getrandbits(32) for _ in range(160)]
+        with FibCluster(
+            "prefix-dag", small_fib, shards=3, autoscale=policy,
+            measure_staleness=False,
+        ) as cluster:
+            for round_ in range(16):
+                self._check(cluster, [rng.choice(flows) for _ in range(120)])
+                if round_ % 3 == 2:
+                    length = rng.randint(4, 14)
+                    cluster.apply_update(
+                        UpdateOp(rng.getrandbits(length), length, rng.randint(1, 6))
+                    )
+            report = cluster.report()
+            assert report.flow_cache_hits > 0
+            assert report.flow_cache_evictions > 0
+
+    def test_live_replan_mid_stream(self, small_fib):
+        policy = aggressive_policy(min_window=128, flow_cache=64)
+        rng = random.Random(53)
+        with FibCluster(
+            "prefix-dag", small_fib, shards=4, autoscale=policy,
+            measure_staleness=False,
+        ) as cluster:
+            lo, hi = cluster.plan.shard_range(0)
+            for round_ in range(20):
+                self._check(cluster, [rng.randrange(lo, hi) for _ in range(64)])
+                if round_ % 4 == 3:
+                    length = rng.randint(4, 12)
+                    cluster.apply_update(
+                        UpdateOp(rng.getrandbits(length), length, rng.randint(1, 6))
+                    )
+            report = cluster.report()
+            assert report.replans >= 1
+            assert report.lookups_during_replan > 0
+
+
 # ------------------------------------------------------- ServingPlane contract
 
 
@@ -392,6 +490,17 @@ PLANE_SHAPES = {
         AsyncFibFrontend,
         {"workers": 2, "window": 4, "transport": "pipe"},
     ),
+}
+
+
+#: Every plane shape, with the worker pool under both fan-outs.
+OUT_OF_RANGE_SHAPES = {
+    "server": {},
+    "cluster": {"shards": 4},
+    "cluster-hash": {"shards": 4, "partition": "hash"},
+    "pool-pipe-broadcast": {"workers": 2, "transport": "pipe", "fanout": "broadcast"},
+    "pool-shm-broadcast": {"workers": 2, "transport": "shm", "fanout": "broadcast"},
+    "pool-pipe-split": {"workers": 2, "transport": "pipe", "fanout": "split"},
 }
 
 
@@ -422,6 +531,25 @@ class TestServingPlaneContract:
             # Both the boxed and the packed batch count as lookups.
             assert report.lookups == 2 * len(addresses)
         plane.close()  # idempotent after the context manager exit
+
+    @pytest.mark.parametrize("shape", sorted(OUT_OF_RANGE_SHAPES))
+    def test_out_of_range_address_raises_on_every_plane(self, small_fib, shape):
+        kwargs = OUT_OF_RANGE_SHAPES[shape]
+        if kwargs.get("transport") == "shm" and not serve.shm_available():
+            pytest.skip("shared memory unavailable")
+        with open_plane("prefix-dag", small_fib, **kwargs) as plane:
+            for bad in (1 << 32, -1):
+                for batch in ([5, bad, 7], array("q", [5, bad, 7])):
+                    with pytest.raises(ValueError, match="outside 32-bit space"):
+                        plane.lookup_batch(batch)
+                    with pytest.raises(ValueError, match="outside 32-bit space"):
+                        plane.lookup_batch_packed(batch)
+            # A rejected batch serves and counts nothing; the plane
+            # keeps serving.
+            assert plane.lookup_batch([5, 7]) == [
+                small_fib.lookup(5), small_fib.lookup(7)
+            ]
+            assert plane.report().lookups == 2
 
     def test_open_plane_rejects_ambiguous_shapes(self, small_fib):
         with pytest.raises(ValueError):

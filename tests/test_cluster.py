@@ -11,15 +11,22 @@ and the epoch coordinator must swap generations one shard at a time.
 from __future__ import annotations
 
 import json
+from array import array
 
 import pytest
 
-from tests.conftest import random_fib
+from tests.conftest import random_fib, serve_both_ways
 from repro import pipeline, serve
 from repro.cli import main
 from repro.core.fib import Fib
 from repro.datasets.updates import UpdateOp
-from repro.serve.cluster import _balanced_cuts, _mix64, plan_cluster
+from repro.pipeline.flat import have_numpy
+from repro.serve.cluster import (
+    _balanced_cuts,
+    _mix64,
+    merge_labels,
+    plan_cluster,
+)
 
 ALL_SCENARIOS = ("uniform", "bgp-churn", "flash-renumbering", "flap-storm")
 
@@ -287,6 +294,105 @@ class TestFibCluster:
         assert 0.0 <= record["parallel_efficiency"] <= 1.0
 
 
+# --------------------------------------------------------- vector fan-out
+
+
+def edge_addresses(plan, rng, count):
+    """Random addresses plus both sides of every cut and the space ends."""
+    batch = [rng.getrandbits(plan.width) for _ in range(count)]
+    for bound in plan.bounds[1:-1]:
+        batch.extend((bound - 1, bound))
+    batch.extend((0, (1 << plan.width) - 1))
+    rng.shuffle(batch)
+    return batch
+
+
+class TestVectorFanOut:
+    @pytest.mark.parametrize("partition", ["prefix", "hash"])
+    def test_vector_path_equals_group_path_and_oracle(self, rng, partition):
+        fib = random_fib(rng, 250, 5, max_length=16)
+        cluster = serve.FibCluster("prefix-dag", fib, shards=4, partition=partition)
+        assert cluster.plan.vectorized == have_numpy()
+        batch = edge_addresses(cluster.plan, rng, 700)
+        oracle = [fib.lookup(a) for a in batch]
+        packed = [label or 0 for label in oracle]
+        results = serve_both_ways(cluster, batch)
+        assert results["vector"] == results["portable"] == (oracle, packed, packed)
+        # Six batches of the same size went through the fan-out.
+        assert cluster.report().lookups == 6 * len(batch)
+
+    def test_vector_and_portable_agree_under_churn(self, rng):
+        fib = random_fib(rng, 200, 4, max_length=14)
+        events = serve.build_events(
+            serve.scenario("bgp-churn"), fib, lookups=800, updates=40,
+            seed=5, batch_size=100,
+        )
+        cluster = serve.FibCluster("prefix-dag", fib, shards=4, rebuild_every=8)
+        for event in events:
+            if not event.is_lookup:
+                cluster.apply_update(event.op)
+                continue
+            expected = [cluster.control.lookup(a) for a in event.addresses]
+            packed = [label or 0 for label in expected]
+            results = serve_both_ways(cluster, list(event.addresses))
+            want = (expected, packed, packed)
+            assert results["vector"] == results["portable"] == want
+
+    def test_empty_batch(self, rng):
+        fib = random_fib(rng, 50, 3, max_length=10)
+        cluster = serve.FibCluster("prefix-dag", fib, shards=2)
+        assert cluster.lookup_batch([]) == []
+        assert cluster.lookup_batch_packed(array("q")) == b""
+        assert cluster.report().lookups == 0
+
+    @pytest.mark.parametrize("bad", [1 << 32, -1, 1 << 70])
+    def test_out_of_range_address_rejected_before_any_shard(self, rng, bad):
+        fib = random_fib(rng, 80, 3, max_length=10)
+        cluster = serve.FibCluster("prefix-dag", fib, shards=4)
+        with pytest.raises(ValueError, match="outside 32-bit space"):
+            cluster.lookup_batch([1, bad, 2])
+        report = cluster.report()
+        assert report.lookups == 0 and report.batches == 0
+        assert all(row["lookups"] == 0 for row in report.shard_rows)
+
+    @pytest.mark.parametrize("positions_form", ["list", "bytes", "none"])
+    def test_merge_labels_scatters_into_input_order(self, positions_form):
+        def form(positions):
+            if positions_form == "bytes":
+                return array("q", positions).tobytes()
+            return positions
+
+        if positions_form == "none":
+            parts = [(None, array("q", [4, 0, 6]).tobytes())]
+        else:
+            parts = [
+                (form([2, 0]), array("q", [7, 5]).tobytes()),
+                (form([1]), array("q", [0]).tobytes()),
+            ]
+        merged = merge_labels(3, parts)
+        expected = [4, 0, 6] if positions_form == "none" else [5, 0, 7]
+        assert merged.tolist() == expected
+
+    def test_wall_clock_reported_next_to_the_model(self, rng):
+        fib = random_fib(rng, 200, 4, max_length=14)
+        events = serve.build_events(
+            serve.scenario("uniform"), fib, lookups=2000, updates=0,
+            seed=3, batch_size=250,
+        )
+        report = serve.serve_cluster_scenario(
+            "prefix-dag", fib, events, scenario="uniform", shards=4,
+        )
+        # The fan-out span holds every shard call, so it can never be
+        # shorter than the slowest shard's share of it.
+        assert report.wall_lookup_seconds > 0.0
+        assert report.wall_lookup_seconds >= report.lookup_seconds
+        assert report.measured_lookup_mlps > 0.0
+        assert 0.0 < report.model_agreement <= 1.0
+        record = json.loads(json.dumps(report.to_dict()))
+        for field in ("wall_lookup_seconds", "measured_lookup_mlps", "model_agreement"):
+            assert record[field] > 0.0
+
+
 # ------------------------------------------------------------------------- CLI
 
 
@@ -324,3 +430,22 @@ class TestClusterCli:
         (row,) = payload["rows"]
         assert row["final_parity"] == 1.0
         assert row["shards"] == 2
+
+    def test_serve_shards_reports_wall_clock(self, tmp_path, capsys):
+        path = tmp_path / "cluster.json"
+        assert (
+            main(
+                [
+                    "serve", "--scale", "0.002", "--updates", "20",
+                    "--lookups", "200", "--shards", "2",
+                    "--representations", "prefix-dag", "--json", str(path),
+                ]
+            )
+            == 0
+        )
+        out = capsys.readouterr().out
+        assert "wall Mlps" in out and "agree" in out
+        (row,) = json.loads(path.read_text())["rows"]
+        assert row["wall_lookup_seconds"] >= row["lookup_seconds"] > 0.0
+        assert row["measured_lookup_mlps"] > 0.0
+        assert row["model_agreement"] > 0.0

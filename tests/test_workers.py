@@ -13,6 +13,8 @@ from __future__ import annotations
 import multiprocessing
 import pickle
 import random
+import threading
+import time
 
 import pytest
 
@@ -25,6 +27,7 @@ from repro.pipeline.shard import ShardSpec, shard_specs
 from repro.serve.workers import (
     WorkerError,
     WorkerPool,
+    _WorkerHandle,
     pack_events,
     serve_worker_scenario,
 )
@@ -268,6 +271,36 @@ class TestStartMethods:
         assert report.final_parity == 1.0
         assert report.spawn_method == method
         assert report.lookups == 512
+
+
+    @pytest.mark.parametrize("transport", ["shm", "pipe"])
+    def test_ready_ack_consumed_before_the_spawner_waits(
+        self, small_fib, monkeypatch, transport
+    ):
+        # A fast worker's readiness ack can be resolved (and popped from
+        # the in-flight map) by the reader thread before the spawning
+        # frontend waits on it: hold every reader-thread start until its
+        # ack is consumed, and the pool must still come up.
+        if transport == "shm" and not serve.shm_available():
+            pytest.skip("shared memory unavailable")
+        start = threading.Thread.start
+
+        def start_then_await_ack(thread):
+            start(thread)
+            handle = (getattr(thread, "_args", None) or (None,))[0]
+            if isinstance(handle, _WorkerHandle):
+                deadline = time.monotonic() + 30.0
+                while 0 in handle.pending and time.monotonic() < deadline:
+                    time.sleep(0.005)
+
+        monkeypatch.setattr(threading.Thread, "start", start_then_await_ack)
+        addresses = [0, 1 << 31, (1 << 32) - 1]
+        with WorkerPool(
+            "prefix-dag", small_fib, workers=2, transport=transport
+        ) as pool:
+            assert pool.lookup_batch(addresses) == [
+                small_fib.lookup(a) for a in addresses
+            ]
 
 
 class TestAsyncFrontend:
